@@ -20,10 +20,10 @@ rules):
   distinct (dx, dy) pairs are few and verified far from every boundary.
 
 QA-filtered composites (median/percentile/synthesis) use an analytic clear
-rule — band1 % 3 != 1 — passed to the real ``apply_qa_mask`` as an explicit
-clear-values list: every pixel has EXACTLY ONE non-clear epoch, so the
-nan-reduces exercise partial stacks while the oracle enumerates the three
-cases by ``band1(e=0) mod 3``.
+rule — band1 % 3 != 1 — passed to the real clear-pixel prologue
+``functions.stack._clear_sr`` as an explicit clear-values list: every pixel
+has EXACTLY ONE non-clear epoch, so the nan-reduces exercise partial stacks
+while the oracle enumerates the three cases by ``band1(e=0) mod 3``.
 """
 
 from __future__ import annotations
@@ -92,9 +92,9 @@ FROM v GROUP BY tile_id ORDER BY tile_id
 
 def _qa_mod3_reduce(stat: str):
     """Clear-pixel reduce with the analytic clear rule band1 % 3 != 1,
-    running the REAL kernels: apply_qa_mask (explicit clear list) →
-    nanmedian_axis0 / nanpercentile_axis0 / np.nanmean — the exact
-    machinery of functions/LandsatMedianPixelComposite.py:130-196,
+    running the REAL kernels: the composites' clear-pixel prologue (explicit
+    clear list) → the median / percentile order statistics / the clear mean —
+    the exact machinery of functions/LandsatMedianPixelComposite.py:130-196,
     LandsatPixelPercentile.py:134-196, Landsat_Image_Synthesis.py:95-160."""
     from .functions import stack as sf
 
@@ -102,18 +102,13 @@ def _qa_mod3_reduce(stat: str):
     clear_vals = vals[vals % 3 != 1]
 
     def fn(stack, masks, g):
-        stack = np.asarray(stack)
-        sr = stack[:, :1, :, :].astype(np.float32)
-        qa = stack[:, 1, :, :]
-        filtered = sf.apply_qa_mask(sr, qa[:, None, :, :], clear_vals)
-        data = np.where(filtered == np.float32(sf.FILTER_VAL), np.nan, filtered)
+        sr, valid = sf._clear_sr(stack, 1, clear_vals)
         if stat == "median":
-            out = sf.nanmedian_axis0(data)
+            out = sf._valid_median(sr, valid)
         elif stat == "p75":
-            out = sf.nanpercentile_axis0(data, 75.0)
+            out = sf._valid_percentile(sr, valid, 75.0)
         else:
-            with np.errstate(invalid="ignore"):
-                out = np.nanmean(data, axis=0)
+            out = sf._valid_mean(sr, valid)
         return out[0], np.ones(stack.shape[-2:], np.uint8)
 
     return fn

@@ -62,6 +62,11 @@ def erode_mask_3x3(m: np.ndarray) -> np.ndarray:
             & m[:-2, 2:] & m[1:-1, 2:] & m[2:, 2:])
 
 
+def _cell_xy(cell_size) -> np.ndarray:
+    """``cell_size`` as an (x, y) pair; a scalar means square cells."""
+    return np.broadcast_to(np.asarray(cell_size), (2,))
+
+
 def hillshade(dem_padded: np.ndarray, mask_padded: np.ndarray, cell_size,
               z_factor: float = 1.0, ce: float = 0.664, cf: float = 0.024,
               azimuth: float = 315.0, elevation: float = 45.0,
@@ -78,7 +83,7 @@ def hillshade(dem_padded: np.ndarray, mask_padded: np.ndarray, cell_size,
     A = (90.0 - azimuth) * math.pi / 180.0
     sinZ, cosZ = math.sin(Z), math.cos(Z)
     sinZsinA, sinZcosA = sinZ * math.sin(A), sinZ * math.cos(A)
-    p = np.multiply(cell_size, DEG_TO_M if is_geographic else 1.0)
+    p = np.multiply(_cell_xy(cell_size), DEG_TO_M if is_geographic else 1.0)
     xs, ys = (z_factor + (np.power(p, ce) * cf)) / (8 * p)
     dx = convolve3x3(v, SOBEL_X) * xs
     dy = convolve3x3(v, SOBEL_Y) * ys
@@ -109,7 +114,7 @@ def multidirectional_hillshade(dem_padded: np.ndarray, mask_padded: np.ndarray,
     v = np.asarray(dem_padded, dtype=np.float64)
     dxr = convolve3x3(v, SOBEL_X)
     dyr = convolve3x3(v, SOBEL_Y)
-    p = np.multiply(cell_size, DEG_TO_M if is_geographic else 1.0)
+    p = np.multiply(_cell_xy(cell_size), DEG_TO_M if is_geographic else 1.0)
     xs, ys = (z_factor + (np.power(p, 0.664) * 0.024)) / (8 * p)
     dx = dxr * xs
     dy = dyr * ys
@@ -146,8 +151,9 @@ def aspect_slope(dem_padded: np.ndarray, mask_padded: np.ndarray, cell_size,
     dem = np.asarray(dem_padded, dtype=np.float64)
     delta_x = convolve3x3(dem, ASPECT_X) / 8.0
     delta_y = convolve3x3(dem, ASPECT_Y) / 8.0
-    dx = delta_x / cell_size[0] * z_factor
-    dy = delta_y / cell_size[1] * z_factor
+    cx, cy = _cell_xy(cell_size)
+    dx = delta_x / cx * z_factor
+    dy = delta_y / cy * z_factor
     slope_pct = np.sqrt(dx * dx + dy * dy) * 100.0
     aspect = 57.29578 * np.arctan2(delta_x, -delta_y)
     aspect = np.where(aspect < 0.0, (360.0 - (90.0 - aspect)) + 90.0, aspect)

@@ -3,7 +3,9 @@
 The reference receives a ``rasters_pixels`` tuple of overlapping scenes from
 its host (functions/Reference.py:214-217); the engine computes the overlap
 relation explicitly — scenes of one footprint share global ``(tx, ty)`` —
-and reduces with ``groupby((tx, ty)).map_groups`` (SURVEY.md §3.3).
+and reduces each ``(tx, ty)`` group to one row (SURVEY.md §3.3).  One
+``_group_reduce`` call handles a whole table of groups: a storage-aligned
+read task's band of footprints, or a single ``groupby((tx, ty))`` group.
 
 Groups are ordered by ``acq_ts`` before stacking (deterministic reduce
 order; required by time-sensitive ops like SeasonalARIMA —
@@ -16,77 +18,70 @@ from typing import Callable
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import ray.data as rd
 
 from .. import tilecodec
 from ..functions import stack as stack_fns
 
 StackReduce = Callable[[np.ndarray, np.ndarray, pd.DataFrame], tuple[np.ndarray, np.ndarray]]
+# Called once per (tx, ty) group, also when one _group_reduce call covers a
+# read task's many groups:
 # (stack (scene,band,h,w), masks (scene,h,w), group meta df sorted by acq_ts)
 #   -> (out (band,h,w) or (h,w), out_mask (h,w))
 
+# columns copied from each group's first (earliest) row to its output row
+_PASS_THROUGH = ("scene_id", "extent", "cell_size", "srid", "nodata", "acq_ts",
+                 "sun_azimuth", "sun_elevation")
 
-import pyarrow as pa
 
-
-def _group_reduce(g: pa.Table, reduce_fn: StackReduce, out_pixel_type: str | None) -> pa.Table:
-    g = g.sort_by("acq_ts")
-    meta = {c: g[c][0].as_py() for c in g.column_names if c not in ("pixels", "mask")}
-    bc, pt = int(meta["band_count"]), meta["pixel_type"]
-    h, w = int(meta["height"]), int(meta["width"])
-    pix_col, mask_col = g["pixels"], g["mask"]
-    arrs, masks = [], []
-    for i in range(g.num_rows):
-        a = tilecodec.decode(pix_col[i].as_buffer(), pt, bc, h, w)
-        arrs.append(a if a.ndim == 3 else a[None])
-        masks.append(tilecodec.decode_mask(mask_col[i].as_buffer(), h, w))
-    stack = np.stack(arrs)          # (scene, band, h, w)
-    mstack = np.stack(masks)        # (scene, h, w)
+def _group_reduce(t: pa.Table, reduce_fn: StackReduce, out_pixel_type: str | None) -> pa.Table:
+    """Reduce every ``(tx, ty)`` group of ``t`` to one row, in ``(ty, tx)``
+    order.  A 0-row ``t`` gives the 0-row table of the same schema, so an
+    empty ty-band block unions cleanly with reduced blocks."""
+    tys, txs = t["ty"].to_numpy(), t["tx"].to_numpy()
+    # row indices, not Table.sort_by: sorting the table copies every pixel blob
+    order = np.lexsort((t["acq_ts"].to_numpy(), txs, tys))
+    tys, txs = tys[order], txs[order]
+    first = np.ones(order.size, bool)
+    first[1:] = (tys[1:] != tys[:-1]) | (txs[1:] != txs[:-1])
+    bounds = np.append(np.flatnonzero(first), order.size)
+    bc, pt = t["band_count"].to_pylist(), t["pixel_type"].to_pylist()
+    hs, ws = t["height"].to_pylist(), t["width"].to_pylist()
+    pix_col, mask_col = t["pixels"], t["mask"]
     # per-scene meta must come from each ROW (replicating row 0 would hand
     # reduce_fn the first scene's sun geometry for every scene)
-    gdf = pd.DataFrame({c: g[c].to_pandas().values
-                        for c in ("scene_id", "acq_ts", "sun_azimuth", "sun_elevation")
-                        if c in g.column_names})
-    out, out_mask = reduce_fn(stack, mstack, gdf)
-    opt = out_pixel_type or pt
-    out = np.asarray(out).astype(np.dtype(opt), copy=False)
-    out_bc = 1 if out.ndim == 2 else out.shape[0]
-    rec: dict = {}
-    for c in ("scene_id", "extent", "cell_size", "srid", "nodata", "acq_ts",
-              "sun_azimuth", "sun_elevation"):
-        if c in g.column_names:
-            rec[c] = g[c].slice(0, 1)
+    meta = pd.DataFrame({c: t[c].to_pandas().values
+                         for c in ("scene_id", "acq_ts", "sun_azimuth", "sun_elevation")
+                         if c in t.column_names}).iloc[order].reset_index(drop=True)
+    out_pt, out_bc, pixels, masks = [], [], [], []
+    for s, e in zip(bounds[:-1], bounds[1:]):
+        rows, i0 = order[s:e], order[s]
+        h, w = hs[i0], ws[i0]
+        stack = np.stack([tilecodec.decode(pix_col[i].as_buffer(), pt[i0], bc[i0], h, w)
+                          .reshape(-1, h, w) for i in rows])   # (scene, band, h, w)
+        mstack = np.stack([tilecodec.decode_mask(mask_col[i].as_buffer(), h, w) for i in rows])
+        out, out_mask = reduce_fn(stack, mstack, meta.iloc[s:e].reset_index(drop=True))
+        opt = out_pixel_type or pt[i0]
+        out = np.asarray(out).astype(np.dtype(opt), copy=False)
+        out_pt.append(opt)
+        out_bc.append(1 if out.ndim == 2 else out.shape[0])
+        pixels.append(tilecodec.encode(out))
+        masks.append(tilecodec.encode(np.asarray(out_mask, dtype=np.uint8)))
+    firsts = order[bounds[:-1]]
+    rec = {c: t[c].take(firsts) for c in _PASS_THROUGH if c in t.column_names}
+    gtx, gty = txs[bounds[:-1]].tolist(), tys[bounds[:-1]].tolist()
     rec.update({
-        "tile_id": pa.array([f"c_{int(meta['tx']):04d}_{int(meta['ty']):04d}"]),
-        "tx": pa.array([int(meta["tx"])], pa.int32()),
-        "ty": pa.array([int(meta["ty"])], pa.int32()),
-        "width": pa.array([w], pa.int32()), "height": pa.array([h], pa.int32()),
-        "band_count": pa.array([out_bc], pa.int32()),
-        "pixel_type": pa.array([opt]),
-        "pixels": pa.array([tilecodec.encode(out)], pa.binary()),
-        "mask": pa.array([tilecodec.encode(np.asarray(out_mask, dtype=np.uint8))], pa.binary()),
-        "n_scenes": pa.array([g.num_rows], pa.int64()),
-    })
-    return pa.table(rec)
-
-
-def _empty_reduced(g: pa.Table) -> pa.Table:
-    """Zero-row table with _group_reduce's OUTPUT schema (same construction
-    order), so an empty ty-band block unions cleanly with reduced blocks."""
-    rec: dict = {}
-    for c in ("scene_id", "extent", "cell_size", "srid", "nodata", "acq_ts",
-              "sun_azimuth", "sun_elevation"):
-        if c in g.column_names:
-            rec[c] = g[c].slice(0, 0)
-    rec.update({
-        "tile_id": pa.array([], pa.string()),
-        "tx": pa.array([], pa.int32()), "ty": pa.array([], pa.int32()),
-        "width": pa.array([], pa.int32()), "height": pa.array([], pa.int32()),
-        "band_count": pa.array([], pa.int32()),
-        "pixel_type": pa.array([], pa.string()),
-        "pixels": pa.array([], pa.binary()),
-        "mask": pa.array([], pa.binary()),
-        "n_scenes": pa.array([], pa.int64()),
+        "tile_id": pa.array([f"c_{x:04d}_{y:04d}" for x, y in zip(gtx, gty)], pa.string()),
+        "tx": pa.array(gtx, pa.int32()),
+        "ty": pa.array(gty, pa.int32()),
+        "width": pa.array([ws[i] for i in firsts], pa.int32()),
+        "height": pa.array([hs[i] for i in firsts], pa.int32()),
+        "band_count": pa.array(out_bc, pa.int32()),
+        "pixel_type": pa.array(out_pt, pa.string()),
+        "pixels": pa.array(pixels, pa.binary()),
+        "mask": pa.array(masks, pa.binary()),
+        "n_scenes": pa.array(np.diff(bounds), pa.int64()),
     })
     return pa.table(rec)
 
@@ -112,8 +107,8 @@ def stack_reduce(tiles: rd.Dataset, reduce_fn: StackReduce,
 # position are consecutive), so the groupby(tx, ty) exchange above moves
 # every pixel byte through the object store only to restore a locality the
 # writer guaranteed.  Instead: one Ray task per (position, ty-band) does a
-# pruned parquet read of just its scenes/rows, groups in-memory by (tx, ty)
-# and runs the SAME _group_reduce — bit-identical output, zero shuffle.
+# pruned parquet read of just its scenes/rows and hands the whole band to
+# the SAME _group_reduce — bit-identical output, zero shuffle.
 #
 # Partitioning assumption (documented): all epochs of a footprint live in
 # the one tiles file and share the global (tx, ty) grid.  Violation
@@ -128,20 +123,7 @@ def _reduce_tiles_from_parquet(path: str, scene_ids: list[int], ty_lo: int, ty_h
 
     flt = (pc.field("scene_id").isin(scene_ids)
            & (pc.field("ty") >= ty_lo) & (pc.field("ty") < ty_hi))
-    t = pq.read_table(path, filters=flt)
-    if t.num_rows == 0:  # empty ty-band (gap in coverage): the [0]/[0]
-        # boundary slices below would hand _group_reduce a 0-row group
-        return _empty_reduced(t)
-    t = t.sort_by([("ty", "ascending"), ("tx", "ascending")])
-    txs = np.asarray(t["tx"], dtype=np.int64)
-    tys = np.asarray(t["ty"], dtype=np.int64)
-    keys = (tys << 32) | txs
-    cuts = np.flatnonzero(np.diff(keys)) + 1
-    starts = np.concatenate([[0], cuts])
-    ends = np.concatenate([cuts, [keys.size]])
-    outs = [_group_reduce(t.slice(int(s), int(e - s)), reduce_fn, out_pixel_type)
-            for s, e in zip(starts, ends)]
-    return pa.concat_tables(outs)
+    return _group_reduce(pq.read_table(path, filters=flt), reduce_fn, out_pixel_type)
 
 
 def stack_reduce_from_parquet(tiles_path: str, reduce_fn: StackReduce,

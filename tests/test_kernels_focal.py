@@ -1,10 +1,15 @@
 """Golden tests for focal kernels (FIXTURES.md §5: inclined plane, analytic
 gradients) and stack composites."""
 
+import itertools
 import math
+import warnings
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from raster_functions_ray.functions import focal as fc
 from raster_functions_ray.functions import stack as st
@@ -61,6 +66,16 @@ class TestHillshade:
         out_m, _ = fc.hillshade(dem, m, (30.0, 30.0), is_geographic=False)
         out_g, _ = fc.hillshade(dem, m, (30.0 / 1.11e5, 30.0 / 1.11e5), is_geographic=True)
         np.testing.assert_allclose(out_m, out_g, rtol=1e-9)
+
+    @pytest.mark.parametrize("kernel", [fc.hillshade, fc.multidirectional_hillshade,
+                                        fc.aspect_slope])
+    @pytest.mark.parametrize("c", [30.0, np.float64(0.25)])
+    def test_scalar_cell_size_is_square(self, kernel, c):
+        dem = inclined_plane(9)
+        m = np.ones((9, 9), np.uint8)
+        out_s, m_s = kernel(dem, m, c)
+        out_p, m_p = kernel(dem, m, (c, c))
+        assert out_s.tobytes() == out_p.tobytes() and m_s.tobytes() == m_p.tobytes()
 
 
 class TestAspectSlope:
@@ -171,14 +186,13 @@ class TestStack:
 
     def test_nanmedian_axis0_bit_exact(self):
         # the vectorized fast path must reproduce np.nanmedian exactly,
-        # including all-NaN columns and odd/even valid counts
+        # including all-NaN columns, odd/even valid counts and stacks deeper
+        # than the composites' 3 and 6 scenes
         rng = np.random.default_rng(11)
-        for _ in range(10):
-            n = int(rng.integers(1, 8))
-            d = rng.normal(size=(n, 2, 9, 9)).astype(np.float32)
+        for n, dt in itertools.product(range(25), (np.float32, np.float64)):
+            d = rng.normal(size=(n, 2, 9, 9)).astype(dt)
             d[rng.random(d.shape) < 0.4] = np.nan
             d[:, :, 0, 0] = np.nan
-            import warnings
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 ref = np.nanmedian(d, axis=0)
@@ -412,3 +426,114 @@ def test_focal_majority_matches_bruteforce():
                 cnt = collections.Counter(win)
                 best = max(cnt.items(), key=lambda kv: (kv[1], -kv[0]))[0]
                 assert got[r, c] == best, (r, c, win, got[r, c], best)
+
+
+# ---- the composite kernels as they were before the shared clear-pixel
+# prologue and sort: QA replicated per band, non-clear -> -3001 -> NaN, then
+# np.sort with NaNs last.  The current kernels must equal them byte for byte.
+
+def _ref_apply_qa_mask(sr_stack, qa_stack, clear_vals=st.LANDSAT_CLEAR_PIX_VALS):
+    sr = np.asarray(sr_stack, dtype=np.float32)
+    clear = np.isin(np.asarray(qa_stack), clear_vals)
+    return np.where(clear, sr, np.float32(st.FILTER_VAL))
+
+
+def _ref_clear_nan(stack, qa_band):
+    stack = np.asarray(stack)
+    qa = stack[:, qa_band, :, :]
+    sr = stack[:, :qa_band, :, :].astype(np.float32)
+    qa_rep = np.repeat(qa[:, None, :, :], qa_band, axis=1)
+    filtered = _ref_apply_qa_mask(sr, qa_rep)
+    return np.where(filtered == np.float32(st.FILTER_VAL), np.nan, filtered)
+
+
+def _ref_median_composite(stack, qa_band):
+    return _ref_nanmedian_axis0(_ref_clear_nan(stack, qa_band))
+
+
+def _ref_nanmedian_axis0(data):
+    n = data.shape[0]
+    if n == 0:
+        return np.full(data.shape[1:], np.nan, dtype=data.dtype)
+    s = np.sort(data, axis=0)
+    cnt = n - np.isnan(data).sum(axis=0)
+    lo = np.maximum(cnt - 1, 0) // 2
+    hi = np.maximum(cnt, 1) // 2
+    v_lo = np.take_along_axis(s, lo[None], axis=0)[0]
+    v_hi = np.take_along_axis(s, hi[None], axis=0)[0]
+    with np.errstate(invalid="ignore"):
+        out = (v_lo + v_hi) / 2
+    return np.where(cnt == 0, np.nan, out)
+
+
+def _ref_pixel_percentile(stack, qa_band, percentile):
+    return _ref_nanpercentile_axis0(_ref_clear_nan(stack, qa_band), percentile)
+
+
+def _ref_nanpercentile_axis0(data, percentile):
+    n = data.shape[0]
+    s = np.sort(data, axis=0)
+    cnt = n - np.isnan(data).sum(axis=0)
+    idx_f = (np.maximum(cnt, 1) - 1) * (percentile / 100.0)
+    lo = np.floor(idx_f).astype(np.int64)
+    hi = np.ceil(idx_f).astype(np.int64)
+    frac = idx_f - lo
+    v_lo = np.take_along_axis(s, lo[None], axis=0)[0]
+    v_hi = np.take_along_axis(s, hi[None], axis=0)[0]
+    out = v_lo + frac * (v_hi - v_lo)
+    return np.where(cnt == 0, np.nan, out)
+
+
+def _ref_image_synthesis_mean(stack, qa_band):
+    with np.errstate(invalid="ignore"):
+        return np.nanmean(_ref_clear_nan(stack, qa_band), axis=0)
+
+
+def _bytes(a, signed_zero=True):
+    """dtype, shape and raw bytes of ``a``.  ``signed_zero=False`` reads −0.0
+    as +0.0: np.sort (in the reference) and np.minimum / np.maximum (in the
+    sorting network) leave the order of the equal keys ±0.0 unspecified, so
+    which of them an order statistic picks is too."""
+    a = np.asarray(a)
+    if not signed_zero:
+        a = np.where(a == 0, np.zeros_like(a), a)
+    return a.dtype, a.shape, a.tobytes()
+
+
+_SR_SPECIAL = [np.nan, np.inf, -np.inf, st.FILTER_VAL, 0.0, -0.0, 1.0, -2.5]
+# QA codes in LANDSAT_CLEAR_PIX_VALS and not (752 = cloud, 1 = fill, NaN)
+_QA_CODES = [672.0, 676.0, 20480.0, 23552.0, 752.0, 1.0, 0.0, np.nan]
+
+
+@hs.composite
+def _qa_stacks(draw):
+    """(scene, band, h, w) stacks 0-24 deep, f4 or f8, SR bands then one QA
+    band."""
+    dt = draw(hs.sampled_from([np.float32, np.float64]))
+    n, bands = draw(hs.integers(0, 24)), draw(hs.integers(1, 3))
+    h, w = draw(hs.integers(1, 3)), draw(hs.integers(1, 3))
+    width = 32 if dt is np.float32 else 64
+    sr = draw(hnp.arrays(dt, (n, bands, h, w), elements=hs.one_of(
+        hs.sampled_from(_SR_SPECIAL), hs.floats(-1e6, 1e6, width=width))))
+    qa = draw(hnp.arrays(dt, (n, 1, h, w), elements=hs.sampled_from(_QA_CODES)))
+    return np.concatenate([sr, qa], axis=1), bands
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(_qa_stacks(), hs.floats(0.0, 100.0))
+def test_composite_kernels_equal_reference(case, pct):
+    stack, qa_band = case
+    sr = stack[:, :qa_band]
+
+    def same(got, want, signed_zero=False):
+        assert _bytes(got, signed_zero) == _bytes(want, signed_zero)
+
+    same(st.median_composite(stack, qa_band), _ref_median_composite(stack, qa_band))
+    same(st.nanmedian_axis0(sr), _ref_nanmedian_axis0(sr))
+    same(st.image_synthesis_mean(stack, qa_band),
+         _ref_image_synthesis_mean(stack, qa_band), signed_zero=True)
+    if stack.shape[0] == 0:  # the reference percentile fails on an empty stack
+        return
+    same(st.pixel_percentile(stack, qa_band, pct), _ref_pixel_percentile(stack, qa_band, pct))
+    same(st.nanpercentile_axis0(sr, pct), _ref_nanpercentile_axis0(sr, pct))

@@ -113,10 +113,15 @@ def test_median_composite_pipeline(synth_sf001):
 def test_stack_reduce_from_parquet_equals_shuffle(synth_sf001):
     """The shuffle-free storage-aligned stack reduce must be bit-identical
     to the groupby((tx,ty)) exchange — both lower onto _group_reduce."""
+    from raster_functions_ray import analytic2
+
     path = f"{synth_sf001}/tiles.parquet"
     for bands, reduce_fn, opt in [
         (2, composite.aggregate_reduce("Average"), "f4"),
         (7, composite.median_composite_reduce(qa_band=6), "f4"),
+        (7, composite.percentile_reduce(qa_band=6, pct=30.0), "f4"),
+        (7, composite.synthesis_reduce(qa_band=6), "f4"),
+        (2, analytic2._qa_mod3_reduce("median"), "f8"),
     ]:
         via_shuffle = composite.stack_reduce(
             read_tiles(synth_sf001, bands=bands), reduce_fn, out_pixel_type=opt)
@@ -130,6 +135,63 @@ def test_stack_reduce_from_parquet_equals_shuffle(synth_sf001):
             assert a[tid]["mask"] == b[tid]["mask"]
             assert a[tid]["n_scenes"] == b[tid]["n_scenes"]
             assert a[tid]["acq_ts"] == b[tid]["acq_ts"]
+
+
+def _hand_tiles(rows):
+    """Tile table (schema.TILE_SCHEMA) of 2-band 2×2 u2 tiles from
+    (scene_id, tx, ty, day) tuples; pixel values derive from the tuple."""
+    import pyarrow as pa
+
+    from raster_functions_ray.schema import TILE_SCHEMA
+
+    recs = []
+    for sid, tx, ty, day in rows:
+        px = (np.arange(8, dtype=np.uint16) * (sid + 1) + 3 * tx + ty).reshape(2, 2, 2)
+        recs.append({
+            "tile_id": f"t{sid:03d}_{tx:03d}_{ty:03d}", "scene_id": sid, "tx": tx, "ty": ty,
+            "width": 2, "height": 2, "band_count": 2, "pixel_type": "u2",
+            "pixels": tilecodec.encode(px), "mask": tilecodec.encode(np.ones((2, 2), np.uint8)),
+            "extent": [tx * 2.0, ty * 2.0, tx * 2.0 + 2, ty * 2.0 + 2], "cell_size": [1.0, 1.0],
+            "srid": 3857, "nodata": 0.0, "acq_ts": pd.Timestamp("2020-01-01") + pd.Timedelta(days=day),
+            "sun_azimuth": 100.0 + sid, "sun_elevation": 40.0 + sid})
+    return pa.Table.from_pylist(recs, schema=TILE_SCHEMA)
+
+
+def test_stack_reduce_multi_group_task(tmp_path):
+    """One read task reduces many (tx, ty) groups at once: groups of unequal
+    depth keep their own n_scenes, and an empty ty-band yields a 0-row block
+    with the reduced blocks' schema."""
+    import ray.data as rd
+
+    # three epochs of one footprint (scenes 0-2) covering ty 0-1 and 8-9;
+    # scene 2 is missing (tx 1, ty 0), so that group is only 2 deep.  The
+    # rows are stored newest epoch first, so the reduce must reorder them.
+    rows = [(sid, tx, ty, sid) for sid in (2, 1, 0) for tx in (0, 1)
+            for ty in (0, 1, 8, 9) if (sid, tx, ty) != (2, 1, 0)]
+    table = _hand_tiles(rows)
+    path = str(tmp_path / "tiles.parquet")
+    pq.write_table(table, path, row_group_size=8)
+    for reduce_fn in (composite.aggregate_reduce("Sum"),
+                      composite.percentile_reduce(qa_band=1, pct=50.0)):
+        via_parquet = composite.stack_reduce_from_parquet(path, reduce_fn, out_pixel_type="f8")
+        via_shuffle = composite.stack_reduce(rd.from_arrow(table), reduce_fn, out_pixel_type="f8")
+        a = {r["tile_id"]: r for r in via_shuffle.take_all()}
+        b = {r["tile_id"]: r for r in via_parquet.take_all()}
+        assert a == b and len(a) == 8
+        assert {t: r["n_scenes"] for t, r in b.items() if r["n_scenes"] != 3} == {"c_0001_0000": 2}
+        # the earliest epoch (scene 0) supplies the pass-through columns
+        assert all(r["scene_id"] == 0 for r in b.values())
+
+    fn = composite.aggregate_reduce("Sum")
+    full = composite._reduce_tiles_from_parquet(path, [0, 1, 2], 0, 4, fn, "f8")
+    empty = composite._reduce_tiles_from_parquet(path, [0, 1, 2], 4, 8, fn, "f8")
+    assert full.num_rows == 4 and empty.num_rows == 0
+    assert empty.schema == full.schema
+    assert full["ty"].to_pylist() == [0, 0, 1, 1] and full["tx"].to_pylist() == [0, 1, 0, 1]
+    expect = sum(tilecodec.decode(p, "u2", 2, 2, 2).astype(np.float64)
+                 for p in table.filter(np.asarray(table["tx"]) + np.asarray(table["ty"]) == 0)["pixels"]
+                 .to_pylist())
+    assert full["pixels"][0].as_py() == tilecodec.encode(expect)
 
 
 def test_stack_reduce_from_parquet_acq_window(synth_sf001):
