@@ -79,7 +79,8 @@ def _exact_stats(ds: rd.Dataset, stat_fn, out_cols) -> pd.DataFrame:
             cols[name] = pa.array([s[j] for s in stats], typ)
         return pa.table(cols)
 
-    out = ds.map_batches(finish, batch_format="pyarrow", batch_size=32).to_pandas()
+    # whole blocks: the map then fuses into a storage-aligned read
+    out = ds.map_batches(finish, batch_format="pyarrow").to_pandas()
     return out.sort_values("tile_id").reset_index(drop=True)
 
 

@@ -92,6 +92,12 @@ def hillshade(dem_padded: np.ndarray, mask_padded: np.ndarray, cell_size,
     return shade[1:-1, 1:-1], erode_mask_3x3(np.asarray(mask_padded))
 
 
+def hillshade_kernel(pix: np.ndarray, mask: np.ndarray, meta: dict):
+    """``stages.tile_map`` kernel: hillshade of band 0 of a padded DEM tile."""
+    return hillshade(pix if pix.ndim == 2 else pix[0], mask, meta["cell_size"],
+                     is_geographic=(meta["srid"] == 4326))
+
+
 def multidirectional_hillshade(dem_padded: np.ndarray, mask_padded: np.ndarray,
                                cell_size, z_factor: float = 1.0,
                                is_geographic: bool = False):

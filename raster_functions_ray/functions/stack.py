@@ -8,6 +8,8 @@ stack is assembled by ``groupby((tx, ty)).map_groups`` over tile rows.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
 # Landsat C2 clear-pixel QA codes (functions/LandsatPixelPercentile.py:15-17,
@@ -81,6 +83,8 @@ def _valid_median(values: np.ndarray, valid: np.ndarray) -> np.ndarray:
 def _valid_percentile(values: np.ndarray, valid: np.ndarray, percentile: float) -> np.ndarray:
     """Linearly interpolated percentile of the valid entries along axis 0;
     NaN where none is valid."""
+    if values.shape[0] == 0:  # all-NaN on an empty stack, in the f8 of the interpolation
+        return np.full(values.shape[1:], np.nan)
     s, cnt = _sort_valid(values, valid)
     idx_f = (np.maximum(cnt, 1) - 1) * (percentile / 100.0)
     lo = np.floor(idx_f).astype(np.int64)
@@ -94,7 +98,9 @@ def _valid_percentile(values: np.ndarray, valid: np.ndarray, percentile: float) 
 
 def _valid_mean(values: np.ndarray, valid: np.ndarray) -> np.ndarray:
     """``np.nanmean`` of the valid entries along axis 0; NaN where none is valid."""
-    with np.errstate(invalid="ignore"):
+    # np.nanmean warns "Mean of empty slice" through `warnings`, not errstate
+    with np.errstate(invalid="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
         return np.nanmean(np.where(valid, values, np.nan), axis=0)
 
 

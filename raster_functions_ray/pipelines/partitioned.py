@@ -15,22 +15,15 @@ import pyarrow as pa
 
 from .. import synth
 from ..functions import focal as fc
-from ..sources import read_tiles
-from ..stages import halo, tile_map
+from ..stages import aligned, halo, tile_map
 from ..state.checkpoint import CheckpointStore, input_fingerprint
 
 
 def hillshade_scene(synth_d: str, scene_id: int) -> pa.Table:
     """One partition's compute: DEM scene → halo → hillshade tile rows."""
-    tiles = read_tiles(synth_d, scene_id=scene_id)
-    padded = halo.with_halo(tiles, padding=1)
-
-    def kernel(p, m, meta):
-        dem = p if p.ndim == 2 else p[0]
-        return fc.hillshade(dem, m, meta["cell_size"],
-                            is_geographic=(meta["srid"] == 4326))
-
-    out = tile_map.apply_kernel(padded, kernel, out_pixel_type="u1")
+    padded = halo.with_halo_from_parquet(os.path.join(synth_d, "tiles.parquet"), padding=1,
+                                         scene_ids=[scene_id])
+    out = tile_map.apply_kernel(padded, fc.hillshade_kernel, out_pixel_type="u1")
     batches = list(out.iter_batches(batch_size=64, batch_format="pyarrow"))
     return pa.concat_tables(batches) if batches else pa.table({})
 
@@ -38,16 +31,8 @@ def hillshade_scene(synth_d: str, scene_id: int) -> pa.Table:
 def run(sf_dir: str, ckpt_root: str, scene_ids: list[int] | None = None) -> dict:
     """Resume-aware run; returns {'computed': [...], 'skipped': [...]}."""
     d = synth.synth_dir_for(sf_dir)
-    if scene_ids is None:
-        import pyarrow.parquet as pq
-
-        meta = pq.read_table(os.path.join(d, "tiles.parquet"),
-                             columns=["scene_id", "band_count"])
-        sids = sorted(set(
-            int(s) for s, b in zip(meta["scene_id"].to_pylist(),
-                                   meta["band_count"].to_pylist()) if b == 1))
-    else:
-        sids = scene_ids
+    sids = (aligned.scenes(os.path.join(d, "tiles.parquet"), bands=1)["scene_id"].tolist()
+            if scene_ids is None else scene_ids)
     store = CheckpointStore(ckpt_root)
     fp = input_fingerprint([os.path.join(d, "tiles.parquet")])
     done = store.finished_keys("hillshade", input_hash=fp)

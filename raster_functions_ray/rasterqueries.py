@@ -70,22 +70,12 @@ def q_hillshade_stats(sf_dir: str) -> pd.DataFrame:
     Full path: shuffle-free scene-pruned halo (stages/halo.py), padded
     kernel, mask-erosion semantics.  (q_hillshade_shuffle_halo_stats gates
     the groupby-based halo lowering on the same kernel.)"""
-    import os
+    from .functions import focal as fc
 
     d = synth.synth_dir_for(sf_dir)
     padded = halo.with_halo_from_parquet(os.path.join(d, "tiles.parquet"),
                                          padding=1, bands=1)
-
-    from .functions import focal as fc
-
-    def hillshade_kernel(p, m, meta):
-        dem = p if p.ndim == 2 else p[0]
-        out, om = fc.hillshade(dem, m, meta["cell_size"],
-                               is_geographic=(meta["srid"] == 4326))
-        return out, om
-
-    out = tile_map.apply_kernel(padded, hillshade_kernel, out_pixel_type="u1")
-    return _stats_df(out)
+    return _stats_df(tile_map.apply_kernel(padded, fc.hillshade_kernel, out_pixel_type="u1"))
 
 
 def q_hillshade_shuffle_halo_stats(sf_dir: str) -> pd.DataFrame:
@@ -94,20 +84,11 @@ def q_hillshade_shuffle_halo_stats(sf_dir: str) -> pd.DataFrame:
     inputs without co-located scenes.  Output is identical to
     q_hillshade_stats (pytest proves the lowerings equal); this query gates
     the shuffle lowering in the driver run."""
-    d = synth.synth_dir_for(sf_dir)
-    tiles = read_tiles(d, bands=1)
-    padded = halo.with_halo(tiles, padding=1, strategy="scene")
-
     from .functions import focal as fc
 
-    def hillshade_kernel(p, m, meta):
-        dem = p if p.ndim == 2 else p[0]
-        out, om = fc.hillshade(dem, m, meta["cell_size"],
-                               is_geographic=(meta["srid"] == 4326))
-        return out, om
-
-    out = tile_map.apply_kernel(padded, hillshade_kernel, out_pixel_type="u1")
-    return _stats_df(out)
+    d = synth.synth_dir_for(sf_dir)
+    padded = halo.with_halo(read_tiles(d, bands=1), padding=1, strategy="scene")
+    return _stats_df(tile_map.apply_kernel(padded, fc.hillshade_kernel, out_pixel_type="u1"))
 
 
 def q_aspect_slope_stats(sf_dir: str) -> pd.DataFrame:
@@ -731,7 +712,7 @@ def d8_flow_accumulation(dem: np.ndarray, max_iters: int | None = None) -> np.nd
 def q_cti_stats(sf_dir: str) -> pd.DataFrame:
     """Compound Topographic Index from in-tile D8 flow accumulation + slope
     (functions/CompoundTopographicIndex.py:52-86 + the 64bitScipy hydrology),
-    heavy kernel → actor pool."""
+    a heavy kernel fused into the halo read tasks."""
     from .functions import focal as fc
 
     d = synth.synth_dir_for(sf_dir)
@@ -749,7 +730,7 @@ def q_cti_stats(sf_dir: str) -> pd.DataFrame:
         cti = pw.compound_topographic_index(slope_deg, acc, cs)
         return cti, fc.erode_mask_3x3(m)
 
-    out = tile_map.apply_kernel(padded, kernel, out_pixel_type="f4", batch_size=8)
+    out = tile_map.apply_kernel(padded, kernel, out_pixel_type="f4")
     return _stats_df(out)
 
 

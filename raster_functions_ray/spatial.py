@@ -493,8 +493,7 @@ def _zone_joiner_for(zref) -> "ZoneJoiner":
     return zj
 
 
-def doc_points_in_zones(docs: rd.Dataset, zones: pd.DataFrame,
-                        concurrency: int = 4) -> rd.Dataset:
+def doc_points_in_zones(docs: rd.Dataset, zones: pd.DataFrame) -> rd.Dataset:
     """Text-span POINT geometries joined to the synthetic zone polygons via
     the cell-indexed per-worker zone cache (stateful-stage semantics on a
     task pool, see _zone_joiner_for)."""
@@ -503,11 +502,8 @@ def doc_points_in_zones(docs: rd.Dataset, zones: pd.DataFrame,
     exploded = spans.explode_spans(docs)
     pts = spans.text_spans(exploded)
     zref = ray.put(zones)
-    # concurrency caps concurrent TASKS here (each warm worker holds one
-    # cached index; see _zone_joiner_for) — keeps the callers' knob live
     return pts.map_batches(lambda b: _zone_joiner_for(zref)(b),
-                           batch_format="pyarrow", batch_size=8192,
-                           concurrency=concurrency)
+                           batch_format="pyarrow", batch_size=8192)
 
 
 def q_zonal_value_salted(sf_dir: str) -> pd.DataFrame:

@@ -5,7 +5,8 @@ its host (functions/Reference.py:214-217); the engine computes the overlap
 relation explicitly — scenes of one footprint share global ``(tx, ty)`` —
 and reduces each ``(tx, ty)`` group to one row (SURVEY.md §3.3).  One
 ``_group_reduce`` call handles a whole table of groups: a storage-aligned
-read task's band of footprints, or a single ``groupby((tx, ty))`` group.
+read task's band of footprints (stages/aligned.py), or a single
+``groupby((tx, ty))`` group.
 
 Groups are ordered by ``acq_ts`` before stacking (deterministic reduce
 order; required by time-sensitive ops like SeasonalARIMA —
@@ -101,19 +102,13 @@ def stack_reduce(tiles: rd.Dataset, reduce_fn: StackReduce,
 
 
 # ------------------------------------------------------------------------
-# Shuffle-free stack reduce from storage (the scale path, like
-# halo.with_halo_from_parquet): temporal epochs of one footprint are
-# ALREADY co-located in storage (scene-aligned row groups; scenes of a
-# position are consecutive), so the groupby(tx, ty) exchange above moves
-# every pixel byte through the object store only to restore a locality the
-# writer guaranteed.  Instead: one Ray task per (position, ty-band) does a
-# pruned parquet read of just its scenes/rows and hands the whole band to
-# the SAME _group_reduce — bit-identical output, zero shuffle.
-#
-# Partitioning assumption (documented): all epochs of a footprint live in
-# the one tiles file and share the global (tx, ty) grid.  Violation
-# degrades to a wrong group (missing epochs -> n_scenes mismatch), which
-# the n_scenes column makes visible — never silent wrong pixels.
+# Shuffle-free stack reduce from storage (the scale path): the epochs of a
+# footprint are ALREADY co-located in storage, so a read task of
+# stages/aligned.py reads one (position, ty-band) and hands it to the SAME
+# _group_reduce — bit-identical output, zero shuffle.  Partitioning
+# assumption (documented): all epochs of a footprint live in the one tiles
+# file and share the global (tx, ty) grid.  Violation degrades to a wrong
+# group (missing epochs -> n_scenes mismatch, visible in that column).
 # ------------------------------------------------------------------------
 
 def _reduce_tiles_from_parquet(path: str, scene_ids: list[int], ty_lo: int, ty_hi: int,
@@ -130,50 +125,25 @@ def stack_reduce_from_parquet(tiles_path: str, reduce_fn: StackReduce,
                               out_pixel_type: str | None = None,
                               bands: int | None = None,
                               acq_window: tuple | None = None) -> rd.Dataset:
-    """Zero-shuffle stack_reduce: per-(position, ty-band) pruned reads in
-    parallel Ray tasks; output identical to stack_reduce() (gate:
-    tests/test_raster_pipelines.py equality test).
+    """Zero-shuffle stack_reduce: one read task per (position, ty-band),
+    pruned parquet read + reduce, one block per task; output identical to
+    stack_reduce() (gate: tests/test_raster_pipelines.py equality test).
 
     ``acq_window=(lo, hi)`` prunes whole SCENES at the metadata read —
     filtered epochs' pixels never leave storage (vs the Dataset-side
     filter, which reads then drops them)."""
-    import pyarrow.parquet as pq
-    import ray
+    from . import aligned
 
-    from ..sources import cluster_cpus
-
-    meta = pq.read_table(tiles_path,
-                         columns=["scene_id", "band_count", "tx", "ty", "acq_ts"])
-    mdf = meta.to_pandas()
-    if bands is not None:
-        mdf = mdf[mdf["band_count"] == bands]
-    sc = (mdf.groupby("scene_id")
-          .agg(tx0=("tx", "min"), ty0=("ty", "min"),
-               ty_min=("ty", "min"), ty_max=("ty", "max"),
-               acq_ts=("acq_ts", "first")).reset_index())
+    sc = aligned.scenes(tiles_path, bands, acq_ts=("acq_ts", "first"))
     if acq_window is not None:
         lo, hi = acq_window
         sc = sc[(sc["acq_ts"] >= lo) & (sc["acq_ts"] < hi)]
-    ncpu = cluster_cpus()
-    positions = list(sc.groupby(["tx0", "ty0"]))
-    bands_per_pos = max(1, (2 * ncpu) // max(1, len(positions)))
-    task = ray.remote(_reduce_tiles_from_parquet)
-    refs = []
-    # band edges are aligned to the synth writer's 4-tile-row row groups, so
-    # each task's ty predicate prunes at row-group granularity and pixels
-    # outside the band are never decoded (measured 10× read amplification
-    # without the alignment)
-    rg_ty = 4
-    for _, pos in positions:
-        ids = [int(s) for s in pos["scene_id"]]
-        y0, y1 = int(pos["ty_min"].min()), int(pos["ty_max"].max()) + 1
-        n_units = -(-(y1 - y0) // rg_ty)
-        units_per_band = max(1, n_units // bands_per_pos)
-        step = units_per_band * rg_ty
-        for lo_e in range(y0, y1, step):
-            refs.append(task.remote(tiles_path, ids, int(lo_e), int(min(lo_e + step, y1)),
-                                    reduce_fn, out_pixel_type))
-    return rd.from_arrow_refs(refs)
+    positions = [pos for _, pos in sc.groupby(["tx0", "ty0"])]
+    n = aligned.units_per_group(len(positions))
+    units = [(tiles_path, [int(s) for s in pos["scene_id"]], lo, hi, reduce_fn, out_pixel_type)
+             for pos in positions
+             for lo, hi in aligned.ty_bands(pos["ty0"].iloc[0], pos["ty1"].max() + 1, n)]
+    return aligned.read_units("StackReduce", _reduce_tiles_from_parquet, units)
 
 
 # ---- canned reduces wrapping functions/stack.py kernels -------------------

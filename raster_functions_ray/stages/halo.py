@@ -13,6 +13,9 @@ The engine reconstructs that halo explicitly:
    (mask stays 0 there, so the 3×3 mask erosion marks the border invalid —
    SURVEY.md §7.2).
 
+``with_halo_from_parquet`` needs no exchange: scenes are co-located in
+storage, so each read task pads one scene (or one ty-band of it) as it reads.
+
 Output rows carry ``pixels``/``mask`` WITH the halo plus a ``padding``
 column; focal kernels trim it like the reference trims ``[1:-1, 1:-1]``.
 """
@@ -151,9 +154,9 @@ def with_halo(tiles: rd.Dataset, padding: int = 1, strategy: str = "scene") -> r
       (scene_id, tx, ty); all-to-all volume beyond the identity row is
       O(perimeter).  Works for arbitrarily large scenes.
 
-    (A zero-shuffle storage-aligned variant was evaluated and rejected: Ray
-    splits in-memory blocks at arbitrary row boundaries, so "one block =
-    whole scenes" cannot be guaranteed downstream of a read.)
+    An in-memory Dataset needs the exchange: Ray splits blocks at arbitrary
+    row boundaries, so "one block = whole scenes" holds only where the read
+    task itself builds the block (with_halo_from_parquet).
     """
     if strategy == "strips":
         strips = tiles.map_batches(lambda b: emit_strips_batch(b, padding),
@@ -170,14 +173,14 @@ def with_halo(tiles: rd.Dataset, padding: int = 1, strategy: str = "scene") -> r
         lambda g: pad_scene_group(g, padding), batch_format="pyarrow")
 
 
-def pad_scene_group(g: "pa.Table", padding: int) -> "pa.Table":
+def pad_scene_group(g: "pa.Table", padding: int,
+                    rows: tuple[int, int] | None = None) -> "pa.Table":
     """Scene-level halo: mosaic → edge-pad → slice per-tile padded blocks.
 
     Matches assemble_group output exactly (scene borders edge-replicated,
     pad mask 0) — gate: test_halo_matches_whole_scene_hillshade runs on
-    both strategies."""
-    import pyarrow as pa
-
+    every lowering.  ``rows=(lo, hi)`` emits only the tiles with
+    ``lo <= ty < hi``; the others only lend their pixels to the halo."""
     p = padding
     n = g.num_rows
     txs = np.asarray(g["tx"]).astype(np.int64)
@@ -192,10 +195,10 @@ def pad_scene_group(g: "pa.Table", padding: int) -> "pa.Table":
         # a hole in the mosaic would be zero-filled here while the strips
         # lowering edge-replicates at coverage borders — the two strategies
         # would silently diverge, so refuse instead (sparse scenes take the
-        # strips / parquet lowering)
+        # strips lowering)
         raise ValueError(
             f"scene halo needs a dense tile rectangle: got {n} tiles for a "
-            f"{nx}x{ny} grid; use strategy='strips' or with_halo_from_parquet")
+            f"{nx}x{ny} grid; use strategy='strips'")
     scene = np.zeros((bc, ny * h, nx * w), dtype=np.dtype(pt))
     smask = np.zeros((ny * h, nx * w), dtype=np.uint8)
     pix_col, mask_col = g["pixels"], g["mask"]
@@ -209,87 +212,58 @@ def pad_scene_group(g: "pa.Table", padding: int) -> "pa.Table":
     pscene = np.pad(scene, ((0, 0), (p, p), (p, p)), mode="edge")
     pmask = np.zeros((ny * h + 2 * p, nx * w + 2 * p), dtype=np.uint8)
     pmask[p:-p, p:-p] = smask
+    keep = (np.arange(n) if rows is None
+            else np.flatnonzero((tys >= rows[0]) & (tys < rows[1])))
     out_pix, out_mask = [], []
-    for i in range(n):
+    for i in keep:
         y0, x0 = int(tys[i] - ty0) * h, int(txs[i] - tx0) * w
         block = pscene[:, y0:y0 + h + 2 * p, x0:x0 + w + 2 * p]
         out_pix.append(tilecodec.encode(block if bc > 1 else block[0]))
         out_mask.append(tilecodec.encode(pmask[y0:y0 + h + 2 * p, x0:x0 + w + 2 * p]))
-    cols = {c: g[c] for c in g.column_names if c not in ("pixels", "mask")}
-    cols["padding"] = pa.array([p] * n, pa.int64())
+    cols = {c: g[c].take(keep) for c in g.column_names if c not in ("pixels", "mask")}
+    cols["padding"] = pa.array([p] * keep.size, pa.int64())
     cols["pixels"] = pa.array(out_pix, pa.binary())
     cols["mask"] = pa.array(out_mask, pa.binary())
     return pa.table(cols)
 
 
-def pad_single_tile(pix: np.ndarray, msk: np.ndarray, padding: int):
-    """Single-tile fallback used by oracle tests: same edge-replicate +
-    zero-mask semantics as assemble_group with no neighbors."""
-    p = padding
-    if pix.ndim == 2:
-        pix = pix[None]
-    padded = np.pad(pix, ((0, 0), (p, p), (p, p)), mode="edge")
-    pmask = np.zeros((pix.shape[-2] + 2 * p, pix.shape[-1] + 2 * p), dtype=np.uint8)
-    pmask[p:-p, p:-p] = msk
-    return padded, pmask
-
-
 # ------------------------------------------------------------------------
-# Shuffle-free halo from storage: per-scene pruned reads as raw Ray tasks.
-#
-# The Dataset API offers only sort-based keyed exchange, which moves every
-# pixel byte through the object store to co-locate scenes that are ALREADY
-# co-located in storage (scene-aligned parquet row groups).  Per SURVEY.md
-# §2.7(c) this is the one place we drop to raw Ray tasks: one task per
-# scene reads its row groups directly (predicate pushdown prunes the rest),
-# assembles + pads the scene, and returns padded-tile chunks;
-# ray.data.from_arrow_refs turns the refs back into a streaming Dataset.
-#
-# Partitioning assumption (documented): the tile table is written with
-# row groups that do not split scenes.  The assembly itself re-groups by
-# scene_id, so a violated assumption degrades to an error (incomplete
-# scene -> shape mismatch), never to silent wrong pixels.
+# Shuffle-free halo from storage (SURVEY.md §2.7(c)): scenes are ALREADY
+# co-located in storage, so a read task of stages/aligned.py pads one scene
+# or ty-band as it reads.  A violated partitioning assumption degrades to an
+# error (incomplete scene -> dense-rectangle check), never to wrong pixels.
 # ------------------------------------------------------------------------
 
-def _pad_scene_from_parquet(path: str, scene_id: int, padding: int,
-                            n_chunks: int):
+def _pad_scene_from_parquet(path: str, scene_id: int, ty_lo: int, ty_hi: int,
+                            padding: int) -> pa.Table:
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
-    t = pq.read_table(path, filters=pc.field("scene_id") == scene_id)
-    padded = pad_scene_group(t, padding)
-    n = padded.num_rows
-    # exactly n_chunks tables (empty tails allowed) so num_returns is static
-    step = max(1, -(-n // n_chunks))
-    chunks = [padded.slice(i * step, min(step, max(0, n - i * step)))
-              for i in range(n_chunks)]
-    return tuple(chunks)
+    flt = ((pc.field("scene_id") == scene_id)
+           & (pc.field("ty") >= ty_lo - 1) & (pc.field("ty") < ty_hi + 1))
+    return pad_scene_group(pq.read_table(path, filters=flt), padding, rows=(ty_lo, ty_hi))
 
 
 def with_halo_from_parquet(tiles_path: str, padding: int = 1, bands: int | None = None,
-                           chunks_per_scene: int = 4,
                            scene_ids: list[int] | None = None) -> rd.Dataset:
-    """Zero-shuffle halo: per-scene pruned parquet reads in parallel Ray
-    tasks → padded-tile Dataset via from_arrow_refs (chunks never touch the
-    driver).  Output identical to with_halo() (gate:
-    tests/test_raster_pipelines.py).
+    """Zero-shuffle halo: one read task per scene, pruned parquet read +
+    pad, one block of padded tiles per task.  Output identical to
+    with_halo() (gate: tests/test_raster_pipelines.py).
+
+    When there are fewer scenes than two per CPU, a scene splits into
+    ty-bands (aligned.ty_bands); each band also reads the tile row above and
+    below it, so it edge-pads only at true scene borders.  That needs
+    ``padding`` ≤ the tile height; otherwise a unit is a whole scene.
 
     ``scene_ids`` restricts padding to those scenes — dropped scenes'
     pixels are never read, decoded or padded (a post-hoc Dataset filter
     would pay the full halo cost first)."""
-    import ray
-    import pyarrow.parquet as pq
+    from . import aligned
 
-    meta = pq.read_table(tiles_path, columns=["scene_id", "band_count"])
-    pairs = {(int(s), int(b)) for s, b in zip(meta["scene_id"].to_pylist(),
-                                              meta["band_count"].to_pylist())}
-    want = None if scene_ids is None else set(scene_ids)
-    scene_ids = sorted(s for s, b in pairs
-                       if (bands is None or b == bands)
-                       and (want is None or s in want))
-    task = ray.remote(num_returns=chunks_per_scene)(_pad_scene_from_parquet)
-    refs: list = []
-    for sid in scene_ids:
-        out = task.remote(tiles_path, sid, padding, chunks_per_scene)
-        refs.extend(out if isinstance(out, list) else [out])
-    return rd.from_arrow_refs(refs)
+    sc = aligned.scenes(tiles_path, bands, h=("height", "min"))
+    if scene_ids is not None:
+        sc = sc[sc["scene_id"].isin(scene_ids)]
+    n = aligned.units_per_group(len(sc))
+    units = [(tiles_path, int(r.scene_id), lo, hi, padding) for r in sc.itertuples()
+             for lo, hi in aligned.ty_bands(r.ty0, r.ty1 + 1, n if padding <= r.h else 1)]
+    return aligned.read_units("HaloScenes", _pad_scene_from_parquet, units)

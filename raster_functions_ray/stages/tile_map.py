@@ -1,10 +1,11 @@
 """Lower per-tile pixel kernels onto ``map_batches`` (SURVEY.md §2.1 → MB).
 
 The unit of work is a tile ROW; batches are Arrow tables read zero-copy from
-the object store.  A kernel is a function ``(pixels, mask, meta) ->
-(out_pixels, out_mask)`` over NumPy views of one tile; ``apply_kernel``
-vectorizes per PIXEL inside the kernel while iterating the (coarse) tile rows
-of a batch — per-row overhead is amortized over 4k–65k pixels/tile.
+the object store, one whole block each by default.  A kernel is a function
+``(pixels, mask, meta) -> (out_pixels, out_mask)`` over NumPy views of one
+tile; ``apply_kernel`` vectorizes per PIXEL inside the kernel while iterating
+the (coarse) tile rows of a batch — per-row overhead is amortized over
+4k–65k pixels/tile.
 
 This replaces the reference's host-driven ``updatePixels(tlc, shape, props,
 **pixelBlocks)`` protocol (functions/Reference.py:188-241): ``meta`` plays the
@@ -95,15 +96,17 @@ def run_kernel_on_batch(batch: pa.Table, kernel: Kernel, out_pixel_type: str | N
 
 
 def apply_kernel(ds: rd.Dataset, kernel: Kernel, out_pixel_type: str | None = None,
-                 batch_size: int = 32, **mb_kw) -> rd.Dataset:
-    """The MB lowering: stateless tasks, Arrow batches, small batch_size
-    because tile rows are megabyte-wide (SURVEY.md §7.2 'very wide rows')."""
+                 **mb_kw) -> rd.Dataset:
+    """The MB lowering: stateless tasks, Arrow batches.  A batch is a whole
+    block unless ``mb_kw`` sets ``batch_size``: Ray fuses a map into the read
+    before it only without one, and a storage-aligned read's block is one
+    scene or ty-band already (stages/aligned.py)."""
     return ds.map_batches(
         lambda b: run_kernel_on_batch(b, kernel, out_pixel_type),
-        batch_format="pyarrow", batch_size=batch_size, zero_copy_batch=True, **mb_kw)
+        batch_format="pyarrow", zero_copy_batch=True, **mb_kw)
 
 
-def tile_stats(ds: rd.Dataset, batch_size: int = 32, **mb_kw) -> rd.Dataset:
+def tile_stats(ds: rd.Dataset, **mb_kw) -> rd.Dataset:
     """Per-tile masked summary statistics (first band): a cheap reduction
     used to gate raster outputs in row-form (mean/min/max/valid count).
 
@@ -127,5 +130,4 @@ def tile_stats(ds: rd.Dataset, batch_size: int = 32, **mb_kw) -> rd.Dataset:
         return pa.table({"tile_id": pa.array(ids), "mean": pa.array(means, pa.float64()),
                          "min": pa.array(mins, pa.float64()), "max": pa.array(maxs, pa.float64()),
                          "valid_px": pa.array(valids, pa.int64())})
-    return ds.map_batches(_stats, batch_format="pyarrow", batch_size=batch_size,
-                          zero_copy_batch=True, **mb_kw)
+    return ds.map_batches(_stats, batch_format="pyarrow", zero_copy_batch=True, **mb_kw)

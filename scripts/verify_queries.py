@@ -10,6 +10,7 @@ Usage: python scripts/verify_queries.py [--sf-dir DIR] [name ...]
 from __future__ import annotations
 
 import hashlib
+import os
 import sys
 import time
 
@@ -57,7 +58,8 @@ def main():
     from ray.data import DataContext
     DataContext.get_current().enable_progress_bars = False
 
-    sys.path.insert(0, "/root/repo")
+    # this checkout's own code, wherever it is run from
+    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     import __ray_entry__ as e
 
     qs = e.queries()
@@ -82,18 +84,18 @@ def main():
         try:
             got = to_pandas(fn(SF_DIR))
         except Exception as ex:
-            print(f"FAIL {name}: ray side raised {type(ex).__name__}: {ex}")
+            print(f"FAIL {name}: ray side raised {type(ex).__name__}: {ex}", flush=True)
             n_fail += 1
             continue
         dt = time.time() - t0
         if name not in oracles:
-            print(f"ok   {name}: rows-only ({len(got)} rows, {sorted(got.columns)}) [{dt:.1f}s]")
+            print(f"ok   {name}: rows-only ({len(got)} rows, {sorted(got.columns)}) [{dt:.1f}s]", flush=True)
             n_pass += 1
             continue
         try:
             exp = con.sql(oracles[name]).df()
         except Exception as ex:
-            print(f"FAIL {name}: oracle raised {type(ex).__name__}: {ex}")
+            print(f"FAIL {name}: oracle raised {type(ex).__name__}: {ex}", flush=True)
             n_fail += 1
             continue
         problems = []
@@ -108,7 +110,7 @@ def main():
             except Exception as ex:  # un-castable dtype must FAIL this query,
                 problems.append(f"value_hash raised {type(ex).__name__}: {ex}")  # not kill the run
         if problems:
-            print(f"FAIL {name}: {'; '.join(problems)} [{dt:.1f}s]")
+            print(f"FAIL {name}: {'; '.join(problems)} [{dt:.1f}s]", flush=True)
             if "value hash mismatch" in problems and len(got) == len(exp):
                 key = sorted(got.columns)
                 g = got[key].sort_values(key).reset_index(drop=True)
@@ -119,7 +121,7 @@ def main():
                 print(x[bad].head(3))
             n_fail += 1
         else:
-            print(f"PASS {name} ({len(got)} rows) [{dt:.1f}s]")
+            print(f"PASS {name} ({len(got)} rows) [{dt:.1f}s]", flush=True)
             n_pass += 1
     print(f"\n{n_pass} pass, {n_fail} fail")
     ray.shutdown()

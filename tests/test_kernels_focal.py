@@ -534,6 +534,22 @@ def test_composite_kernels_equal_reference(case, pct):
     same(st.image_synthesis_mean(stack, qa_band),
          _ref_image_synthesis_mean(stack, qa_band), signed_zero=True)
     if stack.shape[0] == 0:  # the reference percentile fails on an empty stack
+        shape = st.median_composite(stack, qa_band).shape
+        for got in (st.pixel_percentile(stack, qa_band, pct), st.nanpercentile_axis0(sr, pct)):
+            assert got.shape == shape and np.isnan(got).all()
         return
     same(st.pixel_percentile(stack, qa_band, pct), _ref_pixel_percentile(stack, qa_band, pct))
     same(st.nanpercentile_axis0(sr, pct), _ref_nanpercentile_axis0(sr, pct))
+
+
+def test_image_synthesis_mean_all_cloudy_is_silent():
+    """An all-cloudy pixel gives NaN without np.nanmean's "Mean of empty
+    slice" RuntimeWarning (worker logs repeated it for every tile)."""
+    stack = np.ones((3, 3, 4, 4), np.float32)
+    stack[:, 2] = 752                       # QA band: cloudy in every scene
+    stack[:2, 2, 0, 0] = 672                # one pixel clear in two scenes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = st.image_synthesis_mean(stack, 2)
+    assert out.shape == (2, 4, 4)
+    assert (out[:, 0, 0] == 1).all() and np.isnan(out[:, 1:]).all()

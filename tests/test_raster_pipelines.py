@@ -39,9 +39,9 @@ def load_scene(synth_d: str, scene_id: int):
     return scene, mask, rows[0]
 
 
-@pytest.mark.parametrize("strategy", ["scene", "strips"])
+@pytest.mark.parametrize("strategy", ["scene", "strips", "parquet"])
 def test_halo_matches_whole_scene_hillshade(synth_sf001, strategy):
-    """Both halo lowerings must reproduce the exact pixels a single-process
+    """Every halo lowering must reproduce the exact pixels a single-process
     whole-scene computation yields — including across tile boundaries."""
     scene, mask, meta = load_scene(synth_sf001, 0)  # scene 0 = DEM
     dem = scene[0].astype(np.float64)
@@ -53,8 +53,12 @@ def test_halo_matches_whole_scene_hillshade(synth_sf001, strategy):
                                      is_geographic=(meta["srid"] == 4326))
     exp_pix = exp_pix.astype(np.uint8)
 
-    tiles = read_tiles(synth_sf001, scene_id=0)
-    padded = halo.with_halo(tiles, padding=1, strategy=strategy)
+    if strategy == "parquet":
+        padded = halo.with_halo_from_parquet(f"{synth_sf001}/tiles.parquet", padding=1,
+                                             scene_ids=[0])
+    else:
+        tiles = read_tiles(synth_sf001, scene_id=0)
+        padded = halo.with_halo(tiles, padding=1, strategy=strategy)
 
     def kernel(p, m, mt):
         d = p if p.ndim == 2 else p[0]
@@ -70,6 +74,80 @@ def test_halo_matches_whole_scene_hillshade(synth_sf001, strategy):
         np.testing.assert_array_equal(pix, exp_pix[y0:y0 + tp, x0:x0 + tp],
                                       err_msg=f"tile {r['tile_id']}")
         np.testing.assert_array_equal(m, exp_mask[y0:y0 + tp, x0:x0 + tp])
+
+
+def test_halo_from_parquet_ty_bands_match_whole_scene(monkeypatch):
+    """With more read units wanted than scenes, a scene splits into ty-bands
+    that each read one tile row above and below: the padded pixels and masks
+    still equal the whole scene's, edge-padded.  A padding wider than a tile
+    keeps one unit per scene."""
+    from raster_functions_ray import sources
+
+    d = synth.synth_dir(0.01)   # scene 0 = DEM, 8×8 tiles = two row groups
+    monkeypatch.setattr(sources, "cluster_cpus", lambda default=8: 8)
+    scene, mask, meta = load_scene(d, 0)
+    tp = meta["width"]
+    for p, n_blocks in ((1, 2), (tp + 6, 1)):
+        padded = halo.with_halo_from_parquet(f"{d}/tiles.parquet", padding=p,
+                                             scene_ids=[0]).materialize()
+        assert padded.num_blocks() == n_blocks
+        exp_pix = np.pad(scene[0], p, mode="edge")
+        exp_mask = np.pad(mask, p)
+        rows = padded.take_all()
+        assert len(rows) == scene[0].size // (tp * tp)
+        for r in rows:
+            y0, x0 = r["ty"] * tp, r["tx"] * tp
+            win = (slice(y0, y0 + tp + 2 * p), slice(x0, x0 + tp + 2 * p))
+            pix = tilecodec.decode(r["pixels"], meta["pixel_type"], 1, tp + 2 * p, tp + 2 * p)
+            np.testing.assert_array_equal(pix, exp_pix[win], err_msg=r["tile_id"])
+            np.testing.assert_array_equal(
+                tilecodec.decode_mask(r["mask"], tp + 2 * p, tp + 2 * p), exp_mask[win])
+
+
+def test_storage_aligned_reads_empty(synth_sf001):
+    """Selections that match nothing give a 0-row Dataset, not an error."""
+    path = f"{synth_sf001}/tiles.parquet"
+    nothing = (pd.Timestamp("1900-01-01"), pd.Timestamp("1900-01-02"))
+    for ds in (halo.with_halo_from_parquet(path, padding=1, scene_ids=[-1]),
+               composite.stack_reduce_from_parquet(
+                   path, composite.median_composite_reduce(qa_band=6), out_pixel_type="f4",
+                   bands=7, acq_window=nothing)):
+        assert ds.count() == 0
+        assert len(tile_map.tile_stats(ds).to_pandas()) == 0
+
+
+def test_storage_aligned_queries_run_as_one_fused_operator(synth_sf001):
+    """Read, pad or reduce, kernel and stats execute as ONE Ray Data
+    operator: the plan is the input buffer and one Read…->MapBatches… map."""
+    import logging
+    import re
+
+    from raster_functions_ray import rasterqueries as rq
+
+    class Plans(logging.Handler):
+        def __init__(self):
+            super().__init__(logging.INFO)
+            self.plans = []
+
+        def emit(self, record):
+            m = re.search(r"Execution plan of Dataset \S+: (.*)", record.getMessage())
+            if m:
+                self.plans.append(m.group(1))
+
+    lg = logging.getLogger("ray.data")
+    old = lg.level
+    for q in (rq.q_hillshade_stats, rq.q_median_composite_stats):
+        h = Plans()
+        lg.addHandler(h)
+        lg.setLevel(logging.INFO)
+        try:
+            assert len(q(synth_sf001)) > 0
+        finally:
+            lg.removeHandler(h)
+            lg.setLevel(old)
+        assert len(h.plans) == 1, h.plans
+        ops = h.plans[0].split(" -> ")
+        assert len(ops) == 2 and re.match(r"TaskPoolMapOperator\[Read\w+->MapBatches\(", ops[1]), ops
 
 
 def test_composite_matches_stack_oracle(synth_sf001):
