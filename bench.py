@@ -179,7 +179,7 @@ def run_scaling_workload() -> dict:
     t0 = time.time()
     # shuffle-free halo: per-scene pruned reads (storage is scene-partitioned)
     padded = halo.with_halo_from_parquet(os.path.join(d, "tiles.parquet"), padding=1)
-    out = tile_map.apply_kernel(padded, deep_kernel, out_pixel_type="f4")
+    out = tile_map.apply_kernel(padded, deep_kernel, out_pixel_type="f4", batch_size=4)
     stats = tile_map.tile_stats(out)
     n_tiles = stats.count()
     wall = time.time() - t0

@@ -1,10 +1,9 @@
 """Storage-aligned reads: one Ray Data read task per unit of co-located tiles.
 
 The tile writer keeps each scene, and so all epochs of a footprint, in row
-groups of ``RG_TY`` tile rows that never straddle scenes; halos and stack
-reduces then need no exchange.  Each read task does one pruned parquet read
-of its unit and finishes it in place (edge padding, or the stack reduce) into
-one block.  Ray Data fuses whole-block maps (``tile_map``) into this Read
+groups that never straddle scenes; halos and stack reduces then need no
+exchange.  Each read task does one pruned parquet read of its unit and
+finishes it in place (edge padding, or the stack reduce) into one block.  Ray Data fuses whole-block maps (``tile_map``) into this Read
 operator, so a unit goes from storage to stats in one task.
 """
 
@@ -18,8 +17,6 @@ import ray.data as rd
 from ray.data.block import BlockMetadata
 from ray.data.datasource import Datasource, ReadTask
 
-RG_TY = 4   # tile rows per parquet row group (synth.synth_dir)
-
 
 def scenes(tiles_path: str, bands: int | None, **agg) -> pd.DataFrame:
     """One row per scene from a pixel-free read: ``scene_id``, tile origin
@@ -32,22 +29,6 @@ def scenes(tiles_path: str, bands: int | None, **agg) -> pd.DataFrame:
         mdf = mdf[mdf["band_count"] == bands]
     return mdf.groupby("scene_id").agg(tx0=("tx", "min"), ty0=("ty", "min"),
                                        ty1=("ty", "max"), **agg).reset_index()
-
-
-def units_per_group(n_groups: int) -> int:
-    """Units per storage group: about two read tasks per CPU, ≥ 1 per group."""
-    from ..sources import cluster_cpus
-
-    return max(1, (2 * cluster_cpus()) // max(1, n_groups))
-
-
-def ty_bands(y0: int, y1: int, n: int) -> list[tuple[int, int]]:
-    """Tile rows ``[y0, y1)`` as at most ``n`` bands with edges on row group
-    boundaries, so a band's ty predicate prunes whole row groups (measured
-    10× read amplification without the alignment)."""
-    y0, y1 = int(y0), int(y1)
-    step = max(1, -(-(y1 - y0) // RG_TY) // n) * RG_TY
-    return [(lo, min(lo + step, y1)) for lo in range(y0, y1, step)]
 
 
 class UnitDatasource(Datasource):

@@ -14,7 +14,7 @@ The engine reconstructs that halo explicitly:
    SURVEY.md §7.2).
 
 ``with_halo_from_parquet`` needs no exchange: scenes are co-located in
-storage, so each read task pads one scene (or one ty-band of it) as it reads.
+storage, so each read task pads one whole scene as it reads.
 
 Output rows carry ``pixels``/``mask`` WITH the halo plus a ``padding``
 column; focal kernels trim it like the reference trims ``[1:-1, 1:-1]``.
@@ -173,14 +173,12 @@ def with_halo(tiles: rd.Dataset, padding: int = 1, strategy: str = "scene") -> r
         lambda g: pad_scene_group(g, padding), batch_format="pyarrow")
 
 
-def pad_scene_group(g: "pa.Table", padding: int,
-                    rows: tuple[int, int] | None = None) -> "pa.Table":
+def pad_scene_group(g: "pa.Table", padding: int) -> "pa.Table":
     """Scene-level halo: mosaic → edge-pad → slice per-tile padded blocks.
 
     Matches assemble_group output exactly (scene borders edge-replicated,
     pad mask 0) — gate: test_halo_matches_whole_scene_hillshade runs on
-    every lowering.  ``rows=(lo, hi)`` emits only the tiles with
-    ``lo <= ty < hi``; the others only lend their pixels to the halo."""
+    every lowering."""
     p = padding
     n = g.num_rows
     txs = np.asarray(g["tx"]).astype(np.int64)
@@ -212,16 +210,14 @@ def pad_scene_group(g: "pa.Table", padding: int,
     pscene = np.pad(scene, ((0, 0), (p, p), (p, p)), mode="edge")
     pmask = np.zeros((ny * h + 2 * p, nx * w + 2 * p), dtype=np.uint8)
     pmask[p:-p, p:-p] = smask
-    keep = (np.arange(n) if rows is None
-            else np.flatnonzero((tys >= rows[0]) & (tys < rows[1])))
     out_pix, out_mask = [], []
-    for i in keep:
+    for i in range(n):
         y0, x0 = int(tys[i] - ty0) * h, int(txs[i] - tx0) * w
         block = pscene[:, y0:y0 + h + 2 * p, x0:x0 + w + 2 * p]
         out_pix.append(tilecodec.encode(block if bc > 1 else block[0]))
         out_mask.append(tilecodec.encode(pmask[y0:y0 + h + 2 * p, x0:x0 + w + 2 * p]))
-    cols = {c: g[c].take(keep) for c in g.column_names if c not in ("pixels", "mask")}
-    cols["padding"] = pa.array([p] * keep.size, pa.int64())
+    cols = {c: g[c] for c in g.column_names if c not in ("pixels", "mask")}
+    cols["padding"] = pa.array([p] * n, pa.int64())
     cols["pixels"] = pa.array(out_pix, pa.binary())
     cols["mask"] = pa.array(out_mask, pa.binary())
     return pa.table(cols)
@@ -229,19 +225,17 @@ def pad_scene_group(g: "pa.Table", padding: int,
 
 # ------------------------------------------------------------------------
 # Shuffle-free halo from storage (SURVEY.md §2.7(c)): scenes are ALREADY
-# co-located in storage, so a read task of stages/aligned.py pads one scene
-# or ty-band as it reads.  A violated partitioning assumption degrades to an
+# co-located in storage, so a read task of stages/aligned.py pads one whole
+# scene as it reads.  A violated partitioning assumption degrades to an
 # error (incomplete scene -> dense-rectangle check), never to wrong pixels.
 # ------------------------------------------------------------------------
 
-def _pad_scene_from_parquet(path: str, scene_id: int, ty_lo: int, ty_hi: int,
-                            padding: int) -> pa.Table:
+def _pad_scene_from_parquet(path: str, scene_id: int, padding: int) -> pa.Table:
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
-    flt = ((pc.field("scene_id") == scene_id)
-           & (pc.field("ty") >= ty_lo - 1) & (pc.field("ty") < ty_hi + 1))
-    return pad_scene_group(pq.read_table(path, filters=flt), padding, rows=(ty_lo, ty_hi))
+    return pad_scene_group(pq.read_table(path, filters=pc.field("scene_id") == scene_id),
+                           padding)
 
 
 def with_halo_from_parquet(tiles_path: str, padding: int = 1, bands: int | None = None,
@@ -250,20 +244,13 @@ def with_halo_from_parquet(tiles_path: str, padding: int = 1, bands: int | None 
     pad, one block of padded tiles per task.  Output identical to
     with_halo() (gate: tests/test_raster_pipelines.py).
 
-    When there are fewer scenes than two per CPU, a scene splits into
-    ty-bands (aligned.ty_bands); each band also reads the tile row above and
-    below it, so it edge-pads only at true scene borders.  That needs
-    ``padding`` ≤ the tile height; otherwise a unit is a whole scene.
-
     ``scene_ids`` restricts padding to those scenes — dropped scenes'
     pixels are never read, decoded or padded (a post-hoc Dataset filter
     would pay the full halo cost first)."""
     from . import aligned
 
-    sc = aligned.scenes(tiles_path, bands, h=("height", "min"))
+    sc = aligned.scenes(tiles_path, bands)
     if scene_ids is not None:
         sc = sc[sc["scene_id"].isin(scene_ids)]
-    n = aligned.units_per_group(len(sc))
-    units = [(tiles_path, int(r.scene_id), lo, hi, padding) for r in sc.itertuples()
-             for lo, hi in aligned.ty_bands(r.ty0, r.ty1 + 1, n if padding <= r.h else 1)]
+    units = [(tiles_path, int(s), padding) for s in sc["scene_id"]]
     return aligned.read_units("HaloScenes", _pad_scene_from_parquet, units)

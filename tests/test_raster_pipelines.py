@@ -76,32 +76,25 @@ def test_halo_matches_whole_scene_hillshade(synth_sf001, strategy):
         np.testing.assert_array_equal(m, exp_mask[y0:y0 + tp, x0:x0 + tp])
 
 
-def test_halo_from_parquet_ty_bands_match_whole_scene(monkeypatch):
-    """With more read units wanted than scenes, a scene splits into ty-bands
-    that each read one tile row above and below: the padded pixels and masks
-    still equal the whole scene's, edge-padded.  A padding wider than a tile
-    keeps one unit per scene."""
+def test_stack_reduce_ty_bands_match_one_unit_per_position(monkeypatch):
+    """With more read units wanted than footprint positions, a position
+    splits into row-group-aligned ty-bands; the reduced tiles are the same
+    bytes as with one read unit per position."""
     from raster_functions_ray import sources
 
-    d = synth.synth_dir(0.01)   # scene 0 = DEM, 8×8 tiles = two row groups
-    monkeypatch.setattr(sources, "cluster_cpus", lambda default=8: 8)
-    scene, mask, meta = load_scene(d, 0)
-    tp = meta["width"]
-    for p, n_blocks in ((1, 2), (tp + 6, 1)):
-        padded = halo.with_halo_from_parquet(f"{d}/tiles.parquet", padding=p,
-                                             scene_ids=[0]).materialize()
-        assert padded.num_blocks() == n_blocks
-        exp_pix = np.pad(scene[0], p, mode="edge")
-        exp_mask = np.pad(mask, p)
-        rows = padded.take_all()
-        assert len(rows) == scene[0].size // (tp * tp)
-        for r in rows:
-            y0, x0 = r["ty"] * tp, r["tx"] * tp
-            win = (slice(y0, y0 + tp + 2 * p), slice(x0, x0 + tp + 2 * p))
-            pix = tilecodec.decode(r["pixels"], meta["pixel_type"], 1, tp + 2 * p, tp + 2 * p)
-            np.testing.assert_array_equal(pix, exp_pix[win], err_msg=r["tile_id"])
-            np.testing.assert_array_equal(
-                tilecodec.decode_mask(r["mask"], tp + 2 * p, tp + 2 * p), exp_mask[win])
+    d = synth.synth_dir(0.01)   # 3 positions of 8 tile rows = two row groups
+
+    def run(cpus):
+        monkeypatch.setattr(sources, "cluster_cpus", lambda default=8: cpus)
+        ds = composite.stack_reduce_from_parquet(
+            f"{d}/tiles.parquet", composite.median_composite_reduce(qa_band=6),
+            out_pixel_type="f4", bands=7).materialize()
+        return ds.num_blocks(), ds.to_pandas().sort_values("tile_id").reset_index(drop=True)
+
+    n_one, one = run(1)
+    n_many, many = run(64)
+    assert (n_one, n_many) == (3, 6)
+    pd.testing.assert_frame_equal(one, many)
 
 
 def test_storage_aligned_reads_empty(synth_sf001):
