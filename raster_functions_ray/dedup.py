@@ -21,6 +21,7 @@ import pyarrow as pa
 from ray.data.aggregate import Count, Min, Sum
 
 from .sources import read_table
+from .textops import tokenize
 
 # ------------------------------------------------------------------ exact
 
@@ -1300,7 +1301,7 @@ def q_typo_pairs(sf_dir: str) -> pd.DataFrame:
     ds = read_table(sf_dir, "documents", columns=["text"])
 
     def toks(b: pa.Table) -> pa.Table:
-        t = b.to_pandas()["text"].str.findall(r"[^ \t\n\r\f]+").explode().dropna()
+        t = tokenize(b.to_pandas()["text"]).explode().dropna()
         vc = t.groupby(t).size()
         return pa.table({"w": pa.array(vc.index.astype(str)),
                          "n": pa.array(vc.to_numpy(np.int64))})

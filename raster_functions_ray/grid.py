@@ -50,13 +50,6 @@ def parent(cell_id: np.ndarray) -> np.ndarray:
     return (level - 1) * LEVEL_STRIDE + (ix // 2) * IX_STRIDE + (iy // 2)
 
 
-def cell_bounds(cell_id: int):
-    level, ix, iy = cell_decode(np.asarray([cell_id]))
-    n = float(2 ** int(level[0]))
-    w, h = 360.0 / n, 180.0 / n
-    return (ix[0] * w, iy[0] * h - 90.0, (ix[0] + 1) * w, (iy[0] + 1) * h - 90.0)
-
-
 def seed_range(xmin: float, ymin: float, xmax: float, ymax: float,
                level: int) -> tuple[int, int, int, int]:
     """Grid-index range [ix0, ix1] x [iy0, iy1] of cells whose rectangles

@@ -49,10 +49,8 @@ class Op:
     kernel: Callable
     padding: int = 0
     out_pixel_type: str | None = None
-    batch_size: int = 32
     state_factory: Callable | None = None
     group_key: tuple | None = None
-    concurrency: int = 2
 
 
 class _StatefulStage:
@@ -109,8 +107,8 @@ def build_chain(ds: rd.Dataset, ops: list[Op], tiles_path: str | None = None,
             ds = ds.map_batches(
                 _StatefulStage,
                 fn_constructor_args=(op.state_factory, op.kernel, op.out_pixel_type),
-                batch_format="pyarrow", batch_size=op.batch_size,
-                zero_copy_batch=True, concurrency=op.concurrency)
+                batch_format="pyarrow", batch_size=32,
+                zero_copy_batch=True, concurrency=2)
             i += 1
             continue
         if op.padding > 0:
@@ -119,8 +117,7 @@ def build_chain(ds: rd.Dataset, ops: list[Op], tiles_path: str | None = None,
                                                  bands=bands, scene_ids=scene_ids)
             else:
                 ds = halo.with_halo(ds, padding=op.padding)
-            ds = tile_map.apply_kernel(ds, op.kernel, op.out_pixel_type,
-                                       batch_size=op.batch_size)
+            ds = tile_map.apply_kernel(ds, op.kernel, op.out_pixel_type)
             i += 1
             continue
         run = [op]
@@ -129,7 +126,6 @@ def build_chain(ds: rd.Dataset, ops: list[Op], tiles_path: str | None = None,
                 and ops[j].group_key is None:
             run.append(ops[j])
             j += 1
-        ds = tile_map.apply_kernel(ds, _fuse(run), run[-1].out_pixel_type,
-                                   batch_size=run[0].batch_size)
+        ds = tile_map.apply_kernel(ds, _fuse(run), run[-1].out_pixel_type)
         i = j
     return ds

@@ -91,30 +91,6 @@ def q_hillshade_shuffle_halo_stats(sf_dir: str) -> pd.DataFrame:
     return _stats_df(tile_map.apply_kernel(padded, fc.hillshade_kernel, out_pixel_type="u1"))
 
 
-def q_aspect_slope_stats(sf_dir: str) -> pd.DataFrame:
-    d = synth.synth_dir_for(sf_dir)
-    from .functions import focal as fc
-    padded = halo.with_halo_from_parquet(os.path.join(d, "tiles.parquet"),
-                                         padding=1, bands=1)
-
-    def kernel(p, m, meta):
-        dem = p if p.ndim == 2 else p[0]
-        return fc.aspect_slope(dem, m, meta["cell_size"])
-
-    out = tile_map.apply_kernel(padded, kernel, out_pixel_type="u1")
-    return _stats_df(out)
-
-
-def q_aggregate_mean_stats(sf_dir: str) -> pd.DataFrame:
-    """Temporal stack mean over the 2-band (before/after) scene pairs
-    (shuffle-free: epochs are storage-co-located, stack_reduce_from_parquet)."""
-    d = synth.synth_dir_for(sf_dir)
-    out = composite.stack_reduce_from_parquet(
-        os.path.join(d, "tiles.parquet"), composite.aggregate_reduce("Average"),
-        out_pixel_type="f4", bands=2)
-    return _stats_df(out)
-
-
 def q_median_composite_stats(sf_dir: str) -> pd.DataFrame:
     """Clear-pixel median composite over the Landsat epoch stacks (QA band 7),
     via the zero-shuffle storage-aligned stack reduce."""
@@ -222,124 +198,6 @@ def q_doc_zone_join(sf_dir: str) -> pd.DataFrame:
 
 # ------------------------------------------------------- chains & ML ----
 
-def q_tri_stats(sf_dir: str) -> pd.DataFrame:
-    """Terrain Ruggedness Index via the expression evaluator
-    (functions/TerrainRuggednessIndex-Riley-Colormap.rft.xml Expression),
-    run over halo-padded DEM tiles."""
-    from .functions.expr import terrain_ruggedness_expression
-    from .pipelines.chain import Op, build_chain
-
-    d = synth.synth_dir_for(sf_dir)
-    expr = terrain_ruggedness_expression()
-
-    def kernel(p, m, meta):
-        dem = p if p.ndim == 2 else p[0]
-        out = expr.evaluate({"DEM": dem})
-        pad = expr.padding_required
-        from .functions.focal import erode_mask_3x3
-        return out, erode_mask_3x3(m) if pad == 1 else m
-    tiles = read_tiles(d, bands=1)
-    out = build_chain(tiles, [Op("tri", kernel, padding=expr.padding_required,
-                                 out_pixel_type="f4")],
-                      tiles_path=os.path.join(d, "tiles.parquet"), bands=1)
-    return _stats_df(out)
-
-
-def q_ndvi_colormap_chain(sf_dir: str) -> pd.DataFrame:
-    """NDVI → Colormap chain (two fused pointwise ops → ONE map_batches
-    stage): per-tile RGB band means of the colormapped output."""
-    from .functions.remap import colormap_lookup
-    from .pipelines.chain import Op, build_chain
-
-    d = synth.synth_dir_for(sf_dir)
-    # compact 4-entry colormap (structure per functions/deprecated/NDVI.py:73-86)
-    vals = np.arange(0, 201, dtype=np.int64)
-    rgb = (np.clip(vals, 0, 255).astype(np.uint8),
-           np.clip(255 - vals, 0, 255).astype(np.uint8),
-           np.full(vals.size, 40, np.uint8))
-
-    def ndvi_op(p, m, meta):
-        return pw.ndvi(p[0], p[1], "Colormap"), m
-
-    def cmap_op(p, m, meta):
-        return colormap_lookup(np.clip(p, 0, 200).astype(np.uint8), vals, rgb), m
-
-    tiles = read_tiles(d, bands=2)
-    out = build_chain(tiles, [Op("ndvi", ndvi_op, out_pixel_type="u1"),
-                              Op("colormap", cmap_op, out_pixel_type="u1")])
-
-    def band_means(b: pa.Table) -> pd.DataFrame:
-        from . import tilecodec
-        recs = []
-        tid = b["tile_id"].to_pylist()
-        for i, pix, msk in tilecodec.iter_tiles(b):
-            recs.append((tid[i], *[round(float(pix[k].mean()), 6) for k in range(3)]))
-        return pd.DataFrame(recs, columns=["tile_id", "mean_r", "mean_g", "mean_b"])
-
-    return (out.map_batches(band_means, batch_format="pyarrow", batch_size=32)
-            .to_pandas().sort_values("tile_id").reset_index(drop=True))
-
-
-def q_composite_bands_stats(sf_dir: str) -> pd.DataFrame:
-    """CompositeBands (functions/deprecated/CompositeBands.rft.xml): zip the
-    two redir epochs of each footprint into one 4-band tile (band order =
-    acq_ts order, fixed like CompositeBands-4Bands-Ordered.rft.xml)."""
-    d = synth.synth_dir_for(sf_dir)
-
-    def zip_bands(stack, masks, g):
-        bands = np.concatenate(list(stack), axis=0)  # (2*epochs, h, w)
-        return bands, np.all(masks, axis=0).astype(np.uint8)
-
-    out = composite.stack_reduce_from_parquet(
-        os.path.join(d, "tiles.parquet"), zip_bands, out_pixel_type="f4", bands=2)
-    return _stats_df(out)
-
-
-def q_vector_field_stats(sf_dir: str) -> pd.DataFrame:
-    """VectorFieldFunction (functions/VF.rft.xml): treat the 2 redir bands
-    as u/v components → magnitude/direction tile."""
-    from .functions.expr import vector_field
-
-    d = synth.synth_dir_for(sf_dir)
-    tiles = read_tiles(d, bands=2)
-
-    def kernel(p, m, meta):
-        mag, direction = vector_field(p[0], p[1])
-        return np.stack([mag, direction]), m
-
-    out = tile_map.apply_kernel(tiles, kernel, out_pixel_type="f4")
-    return _stats_df(out)
-
-
-def q_knn_classify_stats(sf_dir: str) -> pd.DataFrame:
-    """kNN pixel classification (functions/KNearestNeighborsClassifier.py:81-128)
-    over the Landsat SR bands — actor pool, model fit once per actor."""
-    from .sources import read_training
-    from .stages.classify import classify_tiles
-
-    d = synth.synth_dir_for(sf_dir)
-    training = read_training(d).to_pandas()
-    tiles = read_tiles(d, bands=7)
-
-    def drop_qa(p, m, meta):
-        return p[:6], m
-
-    sr = tile_map.apply_kernel(tiles, drop_qa, out_pixel_type="u2")
-    out = classify_tiles(sr, training, model="knn", k=5, subsample=2)
-
-    def class_counts(b: pa.Table) -> pd.DataFrame:
-        from . import tilecodec
-        recs = []
-        tid = b["tile_id"].to_pylist()
-        for i, pix, msk in tilecodec.iter_tiles(b):
-            b0 = pix if pix.ndim == 2 else pix[0]
-            recs.append((tid[i], int((b0 == 1).sum()), int(b0.size)))
-        return pd.DataFrame(recs, columns=["tile_id", "n_class1", "n_px"])
-
-    return (out.map_batches(class_counts, batch_format="pyarrow", batch_size=16)
-            .to_pandas().sort_values("tile_id").reset_index(drop=True))
-
-
 def q_rf_classify_stats(sf_dir: str) -> pd.DataFrame:
     """RandomForest-shaped classifier stage ([pred, p0, p1] 3-band output,
     functions/RandomForestClassifier.py:71-120; deterministic stump-ensemble
@@ -366,36 +224,6 @@ def q_rf_classify_stats(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame(recs, columns=["tile_id", "n_pred1", "mean_p1"])
 
     return (out.map_batches(summarize, batch_format="pyarrow", batch_size=16)
-            .to_pandas().sort_values("tile_id").reset_index(drop=True))
-
-
-def q_percent_above_threshold(sf_dir: str) -> pd.DataFrame:
-    """PercentAboveThreshold (functions/PercentAboveThreshold.py:90-150):
-    date-window filter on acq_ts → per-footprint scalar %≤threshold."""
-    d = synth.synth_dir_for(sf_dir)
-
-    from .functions import stack as st
-
-    def reduce_fn(stack, masks, g):
-        pct, block = st.percent_above_threshold(stack[:, 0, :, :], 8000.0, below=True)
-        return block, np.ones(block.shape, np.uint8)
-
-    # date window (functions/PercentAboveThreshold.py:128-135) pruned at the
-    # METADATA read — out-of-window epochs' pixels never leave storage
-    out = composite.stack_reduce_from_parquet(
-        os.path.join(d, "tiles.parquet"), reduce_fn, out_pixel_type="f8", bands=7,
-        acq_window=(pd.Timestamp("1985-02-01"), pd.Timestamp("1985-06-01")))
-
-    def pct_rows(b: pa.Table) -> pd.DataFrame:
-        from . import tilecodec
-        recs = []
-        tid = b["tile_id"].to_pylist()
-        for i, pix, msk in tilecodec.iter_tiles(b):
-            b0 = pix if pix.ndim == 2 else pix[0]
-            recs.append((tid[i], round(float(b0[0, 0]), 6)))
-        return pd.DataFrame(recs, columns=["tile_id", "pct_below"])
-
-    return (out.map_batches(pct_rows, batch_format="pyarrow", batch_size=32)
             .to_pandas().sort_values("tile_id").reset_index(drop=True))
 
 
@@ -440,7 +268,7 @@ def q_topographic_c(sf_dir: str) -> pd.DataFrame:
                          float((cos_i * band).sum())))
         return pd.DataFrame(recs, columns=["scene_id", "n", "sx", "sy", "sxx", "sxy"])
 
-    partials = padded.map_batches(slope_aspect_cos, batch_format="pyarrow", batch_size=16)
+    partials = padded.map_batches(slope_aspect_cos, batch_format="pyarrow")
     from ray.data.aggregate import Sum
     agg = (partials.groupby("scene_id")
            .aggregate(Sum("n", alias_name="n"), Sum("sx", alias_name="sx"),
@@ -458,123 +286,6 @@ def q_topographic_c(sf_dir: str) -> pd.DataFrame:
 
 
 # --------------------------------------------- remaining §2 operators ----
-
-def q_dnbr_stats(sf_dir: str) -> pd.DataFrame:
-    """Differenced NBR (functions/deprecated/DifferencedNormalizedBurnRatio.py:99-117):
-    before/after = the two redir epochs of each footprint, grouped + time-ordered."""
-    d = synth.synth_dir_for(sf_dir)
-
-    def dnbr_reduce(stack, masks, g):
-        # stack (2 epochs, 2 bands, h, w), epoch order = acq_ts order
-        out = pw.nbr_difference(stack[0, 0], stack[0, 1], stack[1, 0], stack[1, 1])
-        return out, np.all(masks, axis=0).astype(np.uint8)
-
-    out = composite.stack_reduce_from_parquet(
-        os.path.join(d, "tiles.parquet"), dnbr_reduce, out_pixel_type="f4", bands=2)
-    return _stats_df(out)
-
-
-def q_landsat_qa_stats(sf_dir: str) -> pd.DataFrame:
-    """LandsatC2QA bit decode (functions/LandsatC2QA.py:109-127), vectorized:
-    count of cloud|shadow-flagged pixels per Landsat tile."""
-    d = synth.synth_dir_for(sf_dir)
-    tiles = read_tiles(d, bands=7)
-
-    def kernel_batch(b: pa.Table) -> pd.DataFrame:
-        from . import tilecodec
-        recs = []
-        tid = b["tile_id"].to_pylist()
-        for i, pix, msk in tilecodec.iter_tiles(b):
-            flags = pw.landsat_c2_qa(pix[6], cloud=True, shadow=True)
-            recs.append((tid[i], int(flags.sum()), int(flags.size)))
-        return pd.DataFrame(recs, columns=["tile_id", "n_flagged", "n_px"])
-
-    return (tiles.map_batches(kernel_batch, batch_format="pyarrow", batch_size=32)
-            .to_pandas().sort_values("tile_id").reset_index(drop=True))
-
-
-def q_rank_filter_stats(sf_dir: str) -> pd.DataFrame:
-    """RankFilter median 3×3 (functions/RankFilter.py:101-111) over
-    halo-padded DEM tiles."""
-    from .functions import focal as fc
-
-    d = synth.synth_dir_for(sf_dir)
-    padded = halo.with_halo_from_parquet(os.path.join(d, "tiles.parquet"),
-                                         padding=1, bands=1)
-
-    def kernel(p, m, meta):
-        dem = p if p.ndim == 2 else p[0]
-        return fc.rank_filter(dem, 3, "median"), fc.erode_mask_3x3(m)
-
-    out = tile_map.apply_kernel(padded, kernel, out_pixel_type="f4")
-    return _stats_df(out)
-
-
-def q_block_statistics_stats(sf_dir: str) -> pd.DataFrame:
-    """BlockStatistics mean size=4 (functions/BlockStatistics.py:93-110):
-    the downsample/pyramid primitive — output tiles are 1/4 size with 4×
-    cell size."""
-    from .functions import focal as fc
-
-    d = synth.synth_dir_for(sf_dir)
-    tiles = read_tiles(d, bands=1)
-
-    def kernel(p, m, meta):
-        dem = p if p.ndim == 2 else p[0]
-        out = fc.block_statistics(dem, m, 4, "mean")
-        return out, (m.reshape(out.shape[0], 4, out.shape[1], 4).max(axis=(1, 3)))
-
-    out = tile_map.apply_kernel(tiles, kernel, out_pixel_type="f4")
-    df = _stats_df(out)
-    return df
-
-
-def q_pixel_percentile_stats(sf_dir: str) -> pd.DataFrame:
-    """LandsatPixelPercentile (functions/LandsatPixelPercentile.py:134-196):
-    25th percentile of clear observations per pixel."""
-    d = synth.synth_dir_for(sf_dir)
-    out = composite.stack_reduce_from_parquet(
-        os.path.join(d, "tiles.parquet"),
-        composite.percentile_reduce(qa_band=6, pct=25.0), out_pixel_type="f4", bands=7)
-    df = tile_map.tile_stats(out).to_pandas()
-    for c in ("mean", "min", "max"):
-        df[c] = df[c].astype(float).round(4)
-    return df.sort_values("tile_id").reset_index(drop=True)
-
-
-def q_find_second_max_stats(sf_dir: str) -> pd.DataFrame:
-    """FindSecondMax (functions/FindSecondMax.py:60-87) across the landsat
-    epochs, inputs pre-scaled into the reference's 0–100 classified domain."""
-    d = synth.synth_dir_for(sf_dir)
-
-    from .functions import stack as st
-
-    def reduce_fn(stack, masks, g):
-        # scale band 0 into the 0–100 classified domain inside the reduce
-        # (was a separate pre-kernel stage; fused here so the storage-aligned
-        # path reads each pixel exactly once)
-        series = stack[:, 0:1, :, :].astype(np.float64) / 65535.0 * 100.0
-        out = st.find_kth_max(series, k=2, invalid_above=100.0)
-        return out, np.ones(out.shape, np.uint8)
-
-    out = composite.stack_reduce_from_parquet(
-        os.path.join(d, "tiles.parquet"), reduce_fn, out_pixel_type="f8", bands=7)
-    return _stats_df(out)
-
-
-def q_image_synthesis_stats(sf_dir: str) -> pd.DataFrame:
-    """Landsat_Image_Synthesis (functions/Landsat_Image_Synthesis.py:95-160):
-    clear-pixel mean of a month-window of epochs."""
-    d = synth.synth_dir_for(sf_dir)
-    out = composite.stack_reduce_from_parquet(
-        os.path.join(d, "tiles.parquet"), composite.synthesis_reduce(qa_band=6),
-        out_pixel_type="f4", bands=7,
-        acq_window=(pd.Timestamp("1985-01-01"), pd.Timestamp("1985-04-01")))
-    df = tile_map.tile_stats(out).to_pandas()
-    for c in ("mean", "min", "max"):
-        df[c] = df[c].astype(float).round(4)
-    return df.sort_values("tile_id").reset_index(drop=True)
-
 
 def q_latitude_corner(sf_dir: str) -> pd.DataFrame:
     """Latitude op (functions/Latitude.py:45-83): per-tile latitude of the
@@ -605,52 +316,6 @@ def latitude_oracle_sql(sf: float = 0.01) -> str:
 SELECT tile_id, extent[4] - cell_size[2] * (height - 1) AS last_row_lat
 FROM read_parquet('{d}/tiles.parquet') WHERE band_count = 1
 """
-
-
-def q_mask_replace_chain(sf_dir: str) -> pd.DataFrame:
-    """MaskRaster + ReplaceNulls chain (functions/MaskRaster.py:34-40,
-    functions/ReplaceNulls.py:47-57) fused into one stage."""
-    from .pipelines.chain import Op, build_chain
-
-    d = synth.synth_dir_for(sf_dir)
-    tiles = read_tiles(d, bands=2)
-
-    def mask_op(p, m, meta):
-        out, om = pw.mask_raster(p[0], p[1], m)
-        return out, om
-
-    def replace_op(p, m, meta):
-        out, om = pw.replace_nulls(p, -9999.0)
-        return out, om
-
-    out = build_chain(tiles, [Op("mask", mask_op, out_pixel_type="f4"),
-                              Op("replace", replace_op, out_pixel_type="f4")])
-    return _stats_df(out)
-
-
-def q_vineyard_chain(sf_dir: str) -> pd.DataFrame:
-    """VineyardAnalysis diamond DAG (functions/VineyardAnalysis.rft.xml:27-115):
-    ONE DEM feeds slope% and aspect branches plus the elevation input —
-    evaluated fused per padded tile, like the reference's per-block pull."""
-    from .functions import focal as fc
-
-    d = synth.synth_dir_for(sf_dir)
-    padded = halo.with_halo_from_parquet(os.path.join(d, "tiles.parquet"),
-                                         padding=1, bands=1)
-
-    def kernel(p, m, meta):
-        dem = p if p.ndim == 2 else p[0]
-        cs = meta["cell_size"]
-        dxc = fc.convolve3x3(dem, fc.ASPECT_X) / 8.0
-        dyc = fc.convolve3x3(dem, fc.ASPECT_Y) / 8.0
-        slope_pct = np.sqrt((dxc / cs[0]) ** 2 + (dyc / cs[1]) ** 2) * 100.0
-        aspect = (57.29578 * np.arctan2(dxc, -dyc)) % 360.0
-        out = pw.vineyard_analysis(dem[1:-1, 1:-1], slope_pct[1:-1, 1:-1],
-                                   aspect[1:-1, 1:-1])
-        return out, fc.erode_mask_3x3(m)
-
-    out = tile_map.apply_kernel(padded, kernel, out_pixel_type="u1")
-    return _stats_df(out)
 
 
 D8_OFFS = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
@@ -780,29 +445,6 @@ def q_inpaint_stats(sf_dir: str) -> pd.DataFrame:
     return out.to_pandas().sort_values("scene_id").reset_index(drop=True)
 
 
-def q_seasonal_forecast_stats(sf_dir: str) -> pd.DataFrame:
-    """SeasonalARIMA shape (functions/SeasonalARIMA.py:148-223): per-pixel
-    time series ordered by acq_ts → seasonal-naive forecast (statsmodels
-    absent — see functions/stack.py seasonal_naive_forecast); pixels
-    subsampled 8× (the reference itself is per-pixel-model-cost bound)."""
-    from .functions import stack as st
-
-    d = synth.synth_dir_for(sf_dir)
-
-    def reduce_fn(stack, masks, g):
-        series = stack[:, 0, ::8, ::8].astype(np.float64)  # (epochs, h/8, w/8)
-        out = st.seasonal_naive_forecast_grid(series, season=3, horizon=1)[0]
-        full = np.repeat(np.repeat(out, 8, axis=0), 8, axis=1)
-        return full, np.ones(full.shape, np.uint8)
-
-    out = composite.stack_reduce_from_parquet(
-        os.path.join(d, "tiles.parquet"), reduce_fn, out_pixel_type="f4", bands=7)
-    df = tile_map.tile_stats(out).to_pandas()
-    for c in ("mean", "min", "max"):
-        df[c] = df[c].astype(float).round(4)
-    return df.sort_values("tile_id").reset_index(drop=True)
-
-
 def q_sarima_forecast(sf_dir: str) -> pd.DataFrame:
     """SeasonalARIMA with the CSS-fit NumPy SARIMA (1,0,0)×(0,1,1,s) —
     the reference's exact model equations (functions/SeasonalARIMA.py:
@@ -897,42 +539,6 @@ SELECT sp.kind AS kind, COUNT(*) AS n,
        CAST(SUM(sp.offset) AS BIGINT) AS sum_offset
 FROM s GROUP BY sp.kind
 """
-
-
-def q_merge_extract_stats(sf_dir: str) -> pd.DataFrame:
-    """MergeRasters (union of two scene datasets) + ExtractBand (band 1 of
-    the 2-band tiles) — functions/deprecated/MergeRasters.rft.xml /
-    ExtractBandFunction."""
-    d = synth.synth_dir_for(sf_dir)
-    a = read_tiles(d, scene_id=0)
-    b = read_tiles(d, bands=2)
-
-    def extract_band(p, m, meta):
-        return (p if p.ndim == 2 else p[0]), m
-
-    merged = a.union(tile_map.apply_kernel(b, extract_band, out_pixel_type=None))
-    return _stats_df(merged)
-
-
-def q_select_by_pixel_size(sf_dir: str) -> pd.DataFrame:
-    """SelectByPixelSize (functions/SelectByPixelSize.py:65-95): route each
-    footprint to the native or BlockStatistics-downsampled raster by cell
-    size vs threshold; here threshold picks native (30m <= 60) — the other
-    branch is pruned at plan time (selectRasters semantics)."""
-    from .functions import focal as fc
-
-    d = synth.synth_dir_for(sf_dir)
-    threshold = 60.0
-    native = read_tiles(d, bands=1)
-    choice = pw.select_by_pixel_size(30.0, threshold)
-    if choice == 0:
-        out = native  # plan-time pruning: the downsampled input is never read
-    else:
-        def down(p, m, meta):
-            dem = p if p.ndim == 2 else p[0]
-            return fc.block_statistics(dem, m, 2, "mean"), m[::2, ::2]
-        out = tile_map.apply_kernel(native, down, out_pixel_type="f4")
-    return _stats_df(out)
 
 
 def q_random_source(sf_dir: str) -> pd.DataFrame:
@@ -1237,21 +843,6 @@ GROUP BY w.s, w.r, w.c
 """
 
 
-def q_hexagon_stats(sf_dir: str) -> pd.DataFrame:
-    """HexagonPixels aesthetic render (functions/HexagonPixels.py:39-83)."""
-    from .functions import focal as fc
-
-    d = synth.synth_dir_for(sf_dir)
-    tiles = read_tiles(d, bands=1)
-
-    def kernel(p, m, meta):
-        dem = (p if p.ndim == 2 else p[0]).astype(np.float64)
-        return fc.hexagon_pixels(dem, 8), m
-
-    out = tile_map.apply_kernel(tiles, kernel, out_pixel_type="f4")
-    return _stats_df(out)
-
-
 # --------------------------------------- template-gap ops (round 2) ----
 
 # deterministic endmember signatures in the synthetic Landsat DN domain
@@ -1280,43 +871,6 @@ def q_lsu_stats(sf_dir: str) -> pd.DataFrame:
     return _stats_df(out)
 
 
-def q_ndsi_ndwi_stats(sf_dir: str) -> pd.DataFrame:
-    """NDSI + NDWI for Landsat OLI (functions/deprecated/
-    'Normalized-Difference Snow Index (NDSI) for Landsat OLI.rft.xml' and
-    the NDWI twin): both are the same normalized-difference kernel as NDVI
-    with different band bindings — NDSI=(green−swir1)/(green+swir1),
-    NDWI=(green−nir)/(green+nir).  Two-band output, stats of NDSI."""
-    d = synth.synth_dir_for(sf_dir)
-    tiles = read_tiles(d, bands=7)
-
-    def kernel(p, m, meta):
-        green, nir, swir1 = p[1], p[3], p[4]
-        ndsi = pw.ndvi(swir1, green)  # (green − swir1)/(green + swir1)
-        ndwi = pw.ndvi(nir, green)    # (green − nir)/(green + nir)
-        return np.stack([ndsi, ndwi]), m
-
-    out = tile_map.apply_kernel(tiles, kernel, out_pixel_type="f4")
-    return _stats_df(out)
-
-
-def q_deviation_from_mean_stats(sf_dir: str) -> pd.DataFrame:
-    """DeviationFromMean (functions/deprecated/DeviationFromMean.rft.xml:
-    Arithmetic(Raster, Aggregate-mean(Raster[])) ): earliest epoch minus the
-    temporal stack mean, per footprint — a composition of the existing
-    aggregate reduce and band arithmetic, lowered onto the shuffle-free
-    stack reduce."""
-    d = synth.synth_dir_for(sf_dir)
-
-    def reduce_fn(stack, masks, g):
-        mean = np.asarray(stack, dtype=np.float64).mean(axis=0)
-        dev = np.asarray(stack[0], dtype=np.float64) - mean
-        return dev, np.all(masks, axis=0).astype(np.uint8)
-
-    out = composite.stack_reduce_from_parquet(
-        os.path.join(d, "tiles.parquet"), reduce_fn, out_pixel_type="f8", bands=2)
-    return _stats_df(out)
-
-
 def q_multidirectional_hillshade_stats(sf_dir: str) -> pd.DataFrame:
     """MultidirectionalHillshade (functions/deprecated/
     MultidirectionalHillshade.rft.xml): USGS-style multi-azimuth blend over
@@ -1333,20 +887,6 @@ def q_multidirectional_hillshade_stats(sf_dir: str) -> pd.DataFrame:
                                              is_geographic=(meta["srid"] == 4326))
 
     out = tile_map.apply_kernel(padded, kernel, out_pixel_type="u1")
-    return _stats_df(out)
-
-
-def q_remove_nodata_stats(sf_dir: str) -> pd.DataFrame:
-    """RemoveNoData (functions/RemoveNoData.rft.xml: Con(IsNull, const,
-    raster)): masked DEM pixels replaced by 0, mask forced valid — per-tile
-    stats (valid_px becomes the full tile, gating the mask rewrite)."""
-    d = synth.synth_dir_for(sf_dir)
-    tiles = read_tiles(d, bands=1)
-
-    def kernel(p, m, meta):
-        return pw.remove_nodata(p, m, 0.0)
-
-    out = tile_map.apply_kernel(tiles, kernel, out_pixel_type="f4")
     return _stats_df(out)
 
 
@@ -1513,38 +1053,6 @@ ORDER BY media_id
 """
 
 
-def q_table_function_stats(sf_dir: str) -> pd.DataFrame:
-    """TableFunction (SURVEY.md §2.5; the category label/color table
-    built-in): DEM remapped into elevation classes (RemapFunction), class
-    values joined to a broadcast attribute table (label per category) —
-    per-(tile, label) pixel counts.  Rows-only (pixel domain)."""
-    d = synth.synth_dir_for(sf_dir)
-    tiles = read_tiles(d, bands=1)
-    # category table: class value -> label (the TableFunction side input)
-    cat = {10: "lowland", 20: "upland", 30: "montane", 40: "alpine"}
-    ranges = [0, 600, 600, 800, 800, 1000, 1000, 1e9]
-    values = [10, 20, 30, 40]
-    cref = ray.put((cat, ranges, values))
-
-    def kernel_batch(b: pa.Table) -> pd.DataFrame:
-        catmap, rngs, vals = ray.get(cref)
-        from . import tilecodec
-        recs = []
-        tid = b["tile_id"].to_pylist()
-        for i, pix, msk in tilecodec.iter_tiles(b):
-            dem = pix if pix.ndim == 2 else pix[0]
-            classes = rm.remap(dem, rngs, vals, default=0)
-            uv, cnt = np.unique(classes[~np.isnan(classes)].astype(np.int64),
-                                return_counts=True)
-            for v, c in zip(uv, cnt):
-                recs.append((tid[i], catmap.get(int(v), "other"), int(c)))
-        return pd.DataFrame(recs, columns=["tile_id", "label", "n_px"])
-
-    out = tiles.map_batches(kernel_batch, batch_format="pyarrow", batch_size=32)
-    return (out.to_pandas().sort_values(["tile_id", "label"])
-            .reset_index(drop=True))
-
-
 def q_resumable_hillshade(sf_dir: str) -> pd.DataFrame:
     """Checkpoint/lineage/resume as a first-class pipeline (north-rule
     'resumable from checkpoint with per-partition lineage + metrics'):
@@ -1577,29 +1085,6 @@ def q_resumable_hillshade(sf_dir: str) -> pd.DataFrame:
         return rows.sort_values("partition_key").reset_index(drop=True)
     finally:
         shutil.rmtree(root, ignore_errors=True)
-
-
-def q_chuck_close_stats(sf_dir: str) -> pd.DataFrame:
-    """BasicChuckClose / BasicCubism aesthetic render
-    (functions/BasicChuckClose.py:60-107, functions/BasicCubism.py:40-78):
-    block-mean downsample → class quantize → expand back to full
-    resolution.  Per-tile stats of the classed render (rows-only)."""
-    from .functions import focal as fc
-
-    d = synth.synth_dir_for(sf_dir)
-    tiles = read_tiles(d, bands=1)
-
-    def kernel(p, m, meta):
-        dem = (p if p.ndim == 2 else p[0]).astype(np.float64)
-        blocks = fc.block_statistics(dem, m, 8, "mean")     # (h/8, w/8)
-        lo, hi = float(np.nanmin(blocks)), float(np.nanmax(blocks))
-        span = (hi - lo) or 1.0
-        classed = np.floor((blocks - lo) / span * 7.999)    # 8 tone classes
-        full = np.repeat(np.repeat(classed, 8, axis=0), 8, axis=1)
-        return full, m
-
-    out = tile_map.apply_kernel(tiles, kernel, out_pixel_type="u1")
-    return _stats_df(out)
 
 
 def q_nn_neighbors_stats(sf_dir: str) -> pd.DataFrame:
@@ -1644,37 +1129,6 @@ def q_nn_neighbors_stats(sf_dir: str) -> pd.DataFrame:
     return out.to_pandas().sort_values("tile_id").reset_index(drop=True)
 
 
-def q_rasterize_attributes_stats(sf_dir: str) -> pd.DataFrame:
-    """RasterizeAttributes (functions/deprecated/RasterizeAttributes.py:
-    135-169): burn the zone raster, then write M zone-attribute bands —
-    per-tile mean of each burned attribute band (rows-only)."""
-    d = synth.synth_dir_for(sf_dir)
-    p = synth.params_for(synth.sf_from_dir(sf_dir))
-    zones = read_zones(d).to_pandas()
-    attr_map = {int(r["zone_id"]): [r["attr_1"], r["attr_2"]]
-                for _, r in zones.iterrows()}
-    zref = ray.put((zones, attr_map))
-    tiles = read_tiles(d, bands=1)
-
-    def kernel_batch(b: pa.Table) -> pd.DataFrame:
-        zdf, amap = ray.get(zref)
-        zlist = prep_zones(zdf)  # once per batch, not per tile
-        from . import tilecodec
-        recs = []
-        tid = b["tile_id"].to_pylist()
-        exts = b["extent"].to_pylist()
-        for i, pix, msk in tilecodec.iter_tiles(b):
-            dem = pix if pix.ndim == 2 else pix[0]
-            zr = burn_zone_raster(dem.shape, exts[i], p, zlist)
-            out = rm.rasterize_attributes(dem, zr, amap, n_attrs=2)
-            recs.append((tid[i], round(float(out[1].mean()), 4),
-                         round(float(out[2].mean()), 4)))
-        return pd.DataFrame(recs, columns=["tile_id", "mean_attr1", "mean_attr2"])
-
-    out = tiles.map_batches(kernel_batch, batch_format="pyarrow", batch_size=16)
-    return out.to_pandas().sort_values("tile_id").reset_index(drop=True)
-
-
 def q_audio_features(sf_dir: str) -> pd.DataFrame:
     """Audio rows of the media table → actor-pool decode — REAL pure-numpy
     PCM16 RIFF/WAVE chunk-walk parsing — → waveform features
@@ -1691,25 +1145,6 @@ def q_audio_features(sf_dir: str) -> pd.DataFrame:
     out = ds.map_batches(AudioFeatures, batch_format="pyarrow",
                          batch_size=64, concurrency=2)
     return out.to_pandas().sort_values("media_id").reset_index(drop=True)
-
-
-def q_stretch_stats(sf_dir: str) -> pd.DataFrame:
-    """StretchFunction (SURVEY.md §2.5): per-tile min-max stretch of the
-    DEM into display range [0, 255] using the tile's OWN stats (the
-    updateRasterInfo statistics flow) — fused stretch + stats in one
-    map_batches pass."""
-    d = synth.synth_dir_for(sf_dir)
-    tiles = read_tiles(d, bands=1)
-
-    def kernel(p, m, meta):
-        dem = (p if p.ndim == 2 else p[0]).astype(np.float64)
-        valid = m.astype(bool)
-        lo = float(dem[valid].min()) if valid.any() else 0.0
-        hi = float(dem[valid].max()) if valid.any() else 1.0
-        return rm.stretch_minmax(dem, lo, hi), m
-
-    out = tile_map.apply_kernel(tiles, kernel, out_pixel_type="u1")
-    return _stats_df(out)
 
 
 # --------------------------- span-sequence equality invariant (north rule)

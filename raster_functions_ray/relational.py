@@ -26,6 +26,7 @@ import ray.data as rd
 from ray.data.aggregate import Count, Max, Min, Sum
 
 from .sources import read_table
+from .textops import tokenize
 
 
 def _round(df: pd.DataFrame, spec: dict[str, int]) -> pd.DataFrame:
@@ -801,8 +802,7 @@ def q_exact_percentiles(sf_dir: str) -> pd.DataFrame:
     ds = read_table(sf_dir, "documents", columns=["text"])
 
     def hist(b: pa.Table) -> pa.Table:
-        nt = (pd.Series(b["text"].to_pandas())
-              .str.findall(r"[^ \t\n\r\f]+").str.len().to_numpy(np.int64))
+        nt = tokenize(b["text"].to_pandas()).str.len().to_numpy(np.int64)
         h = np.bincount(nt, minlength=1)
         return pa.table({"h": pa.array([h.tolist()],
                                        pa.list_(pa.int64()))})

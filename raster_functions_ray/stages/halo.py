@@ -95,7 +95,7 @@ def assemble_group(g: pd.DataFrame, padding: int) -> pd.DataFrame:
     # pad with body-edge replication, then overlay real neighbor strips
     padded = np.pad(body, ((0, 0), (p, p), (p, p)), mode="edge")
     pmask = np.zeros((h + 2 * p, w + 2 * p), dtype=np.uint8)
-    pmask[p:-p, p:-p] = tilecodec.decode_mask(c["strip_mask"], h, w)
+    pmask[p:p + h, p:p + w] = tilecodec.decode_mask(c["strip_mask"], h, w)
     present: set[tuple[int, int]] = set()
     for _, row in g.iterrows():
         dx, dy = int(row["dx"]), int(row["dy"])
@@ -209,7 +209,7 @@ def pad_scene_group(g: "pa.Table", padding: int) -> "pa.Table":
         smask[y0:y0 + h, x0:x0 + w] = tilecodec.decode_mask(mask_col[i].as_buffer(), h, w)
     pscene = np.pad(scene, ((0, 0), (p, p), (p, p)), mode="edge")
     pmask = np.zeros((ny * h + 2 * p, nx * w + 2 * p), dtype=np.uint8)
-    pmask[p:-p, p:-p] = smask
+    pmask[p:p + ny * h, p:p + nx * w] = smask
     out_pix, out_mask = [], []
     for i in range(n):
         y0, x0 = int(tys[i] - ty0) * h, int(txs[i] - tx0) * w

@@ -95,18 +95,18 @@ def run_kernel_on_batch(batch: pa.Table, kernel: Kernel, out_pixel_type: str | N
     return pa.table(cols)
 
 
-def apply_kernel(ds: rd.Dataset, kernel: Kernel, out_pixel_type: str | None = None,
-                 **mb_kw) -> rd.Dataset:
+def apply_kernel(ds: rd.Dataset, kernel: Kernel,
+                 out_pixel_type: str | None = None) -> rd.Dataset:
     """The MB lowering: stateless tasks, Arrow batches.  A batch is a whole
-    block unless ``mb_kw`` sets ``batch_size``: Ray fuses a map into the read
-    before it only without one, and a storage-aligned read's block is one
-    scene or ty-band already (stages/aligned.py)."""
+    block: Ray fuses a map into the read before it only without a
+    ``batch_size``, and a storage-aligned read's block is one scene or
+    ty-band already (stages/aligned.py)."""
     return ds.map_batches(
         lambda b: run_kernel_on_batch(b, kernel, out_pixel_type),
-        batch_format="pyarrow", zero_copy_batch=True, **mb_kw)
+        batch_format="pyarrow", zero_copy_batch=True)
 
 
-def tile_stats(ds: rd.Dataset, **mb_kw) -> rd.Dataset:
+def tile_stats(ds: rd.Dataset) -> rd.Dataset:
     """Per-tile masked summary statistics (first band): a cheap reduction
     used to gate raster outputs in row-form (mean/min/max/valid count).
 
@@ -130,4 +130,4 @@ def tile_stats(ds: rd.Dataset, **mb_kw) -> rd.Dataset:
         return pa.table({"tile_id": pa.array(ids), "mean": pa.array(means, pa.float64()),
                          "min": pa.array(mins, pa.float64()), "max": pa.array(maxs, pa.float64()),
                          "valid_px": pa.array(valids, pa.int64())})
-    return ds.map_batches(_stats, batch_format="pyarrow", zero_copy_batch=True, **mb_kw)
+    return ds.map_batches(_stats, batch_format="pyarrow", zero_copy_batch=True)

@@ -8,7 +8,6 @@ DuckDB list/string functions; the heuristics (langid) are rows-only checks.
 
 from __future__ import annotations
 
-import hashlib
 import re
 
 import numpy as np
@@ -20,6 +19,16 @@ from ray.data.aggregate import Sum
 from .sources import read_table
 
 
+def tokenize(text: pd.Series) -> pd.Series:
+    """Whitespace tokens of each string, as the DuckDB oracles split them:
+    list_filter(string_split_regex(text, '\\s+'), x -> x <> '').
+
+    The class is exactly RE2's \\s, [ \\t\\n\\r\\f]: NO \\v (RE2's \\s
+    excludes it, verified against DuckDB) and no unicode spaces (U+00A0
+    etc.), both of which Python's str.split() and \\s would split on."""
+    return text.str.findall(r"[^ \t\n\r\f]+")
+
+
 def q_token_stats(sf_dir: str) -> pd.DataFrame:
     """Per-document token count (whitespace split) + char length.
 
@@ -29,11 +38,9 @@ def q_token_stats(sf_dir: str) -> pd.DataFrame:
 
     def stats(b: pa.Table) -> pd.DataFrame:
         df = b.to_pandas()
-        # exact RE2 \s class [ \t\n\r\f] — NO \v (RE2's \s excludes it,
-        # verified against DuckDB) and no unicode spaces (U+00A0 etc.)
         return pd.DataFrame({
             "doc_id": df["doc_id"],
-            "n_tokens": df["text"].str.findall(r"[^ \t\n\r\f]+").str.len().astype("int64"),
+            "n_tokens": tokenize(df["text"]).str.len().astype("int64"),
             "n_chars": df["text"].str.len().astype("int64"),
         })
 
@@ -54,7 +61,7 @@ def q_lang_profile(sf_dir: str) -> pd.DataFrame:
 
     def partial(b: pa.Table) -> pd.DataFrame:
         df = b.to_pandas()
-        df["n_tokens"] = df["text"].str.findall(r"[^ \t\n\r\f]+").str.len()
+        df["n_tokens"] = tokenize(df["text"]).str.len()
         df["n_chars"] = df["text"].str.len()
         return df.groupby("lang", sort=False).agg(
             n_docs=("text", "size"), sum_tokens=("n_tokens", "sum"),
@@ -157,12 +164,6 @@ class QualityScorer:
         return df_out
 
 
-def quality_scores(sf_dir: str, concurrency: int = 4) -> rd.Dataset:
-    ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
-    return ds.map_batches(QualityScorer, batch_format="pyarrow",
-                          batch_size=4096, concurrency=concurrency)
-
-
 # n-gram language profiles for the heuristic lang-ID (trained on nothing —
 # just characteristic letter patterns; deterministic)
 _LANG_HINTS = {
@@ -198,28 +199,6 @@ class LangId:
                     best, best_score = lang, score
             langs.append(best)
         return pd.DataFrame({"doc_id": df["doc_id"], "pred_lang": langs})
-
-
-def lang_id(sf_dir: str, concurrency: int = 4) -> rd.Dataset:
-    ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
-    return ds.map_batches(LangId, batch_format="pyarrow", batch_size=4096,
-                          concurrency=concurrency)
-
-
-def rolling_fingerprint(text: str, window: int = 16, mod: int = 1 << 31) -> int:
-    """Deterministic rolling-hash document fingerprint (min of window hashes)."""
-    data = text.encode("utf-8")
-    if len(data) <= window:
-        return int.from_bytes(hashlib.blake2b(data, digest_size=4).digest(), "big") % mod
-    base, h, power = 257, 0, 1
-    for i in range(window):
-        h = (h * base + data[i]) % mod
-        power = (power * base) % mod
-    best = h
-    for i in range(window, len(data)):
-        h = (h * base + data[i] - data[i - window] * power) % mod
-        best = min(best, h)
-    return best
 
 
 class DocScorer:
@@ -726,7 +705,7 @@ def _source_format_profile(ds) -> pd.DataFrame:
 
     def partial(b: pa.Table) -> pa.Table:
         df = b.to_pandas()
-        toks = df["text"].str.findall(r"[^ \t\n\r\f]+").str.len()
+        toks = tokenize(df["text"]).str.len()
         fp = _poly31_u32(df["text"].to_numpy(dtype=object).astype(str))
         g = pd.DataFrame({
             "source": df["source"], "n": 1,
@@ -829,7 +808,7 @@ def index_partial(b: pa.Table) -> pd.DataFrame:
     """Per-block index partial: one row per term present in the block —
     (shard, term, df, postings_sum, h0..h{K-1} head columns, -1 padded)."""
     df = b.to_pandas()
-    toks = df["text"].str.findall(r"[^ \t\n\r\f]+")
+    toks = tokenize(df["text"])
     pairs = pd.DataFrame({
         "doc_id": df["doc_id"].repeat(toks.str.len().to_numpy()),
         "term": np.concatenate([np.asarray(t, dtype=object) for t in toks])
@@ -1126,7 +1105,7 @@ def q_hash_classifier(sf_dir: str) -> pd.DataFrame:
 
     def score(b: pa.Table) -> pd.DataFrame:
         df = b.to_pandas()
-        toks = df["text"].str.findall(r"[^ \t\n\r\f]+")
+        toks = tokenize(df["text"])
         e = toks.explode().dropna()
         doc_idx = e.index.to_numpy()
         vals = e.to_numpy(dtype=object)
@@ -1202,7 +1181,7 @@ def _logreg_featurize(df: pd.DataFrame) -> tuple[np.ndarray, np.ndarray]:
     'the'.  Token hash = the q_hash_classifier poly-31 (mod 2³²), bucket
     = h % {LOGREG_BUCKETS} — hashed once per UNIQUE token."""
     df = df.reset_index(drop=True)
-    toks = df["text"].str.findall(r"[^ \t\n\r\f]+")
+    toks = tokenize(df["text"])
     e = toks.explode().dropna()
     X = np.zeros((len(df), LOGREG_BUCKETS + 1), np.int64)
     y = np.zeros(len(df), np.int64)
@@ -1381,7 +1360,7 @@ def q_bpe_merge_step(sf_dir: str) -> pd.DataFrame:
     ds = read_table(sf_dir, "documents", columns=["text"])
 
     def toks(b: pa.Table) -> pa.Table:
-        t = b.to_pandas()["text"].str.findall(r"[^ \t\n\r\f]+").explode().dropna()
+        t = tokenize(b.to_pandas()["text"]).explode().dropna()
         vc = t.groupby(t).size()
         return pa.table({"w": pa.array(vc.index.astype(str)),
                          "n": pa.array(vc.to_numpy(np.int64))})
@@ -1494,8 +1473,7 @@ def q_bpe_train(sf_dir: str) -> pd.DataFrame:
     ds = read_table(sf_dir, "documents", columns=["text"])
 
     def toks(b: pa.Table) -> pa.Table:
-        t = (b.to_pandas()["text"].str.findall(r"[^ \t\n\r\f]+")
-             .explode().dropna())
+        t = tokenize(b.to_pandas()["text"]).explode().dropna()
         vc = t.groupby(t).size()
         return pa.table({"w": pa.array(vc.index.astype(str)),
                          "n": pa.array(vc.to_numpy(np.int64))})
@@ -1774,7 +1752,7 @@ def q_data_card(sf_dir: str) -> pd.DataFrame:
 
     def partial(b: pa.Table) -> pd.DataFrame:
         txt = pd.Series(b["text"].to_pandas())
-        toks = txt.str.split().str.len().fillna(0).astype(np.int64)
+        toks = tokenize(txt).str.len().fillna(0).astype(np.int64)
         nch = np.asarray(b["n_chars"], dtype=np.int64)
         df = pd.DataFrame({
             "source": b["source"].to_numpy(zero_copy_only=False),
@@ -2040,8 +2018,7 @@ def q_cms_sketch(sf_dir: str) -> pd.DataFrame:
     ds = read_table(sf_dir, "documents", columns=["text"])
 
     def partial(b: pa.Table) -> pa.Table:
-        toks = (b.to_pandas()["text"].str.findall(r"[^ \t\n\r\f]+")
-                .explode().dropna())
+        toks = tokenize(b.to_pandas()["text"]).explode().dropna()
         local = np.zeros(CMS_D * CMS_W, np.int64)
         if len(toks):
             uniq, cnt = np.unique(toks.to_numpy(dtype=object),

@@ -30,6 +30,7 @@ import ray.data as rd
 from ray.data.aggregate import Count, Min, Sum
 
 from .sources import join_partitions, read_table
+from .textops import tokenize
 
 # ---------------------------------------------------- connected components
 
@@ -223,9 +224,7 @@ def q_seq_packing(sf_dir: str) -> pd.DataFrame:
 
     def tok(b: pa.Table) -> pa.Table:
         df = b.to_pandas()
-        # explicit RE2-\s class ([ \t\n\r\f], NO \v, NO unicode spaces):
-        # Python's \s would over-count tokens on U+00A0 / \v vs the oracle
-        nt = df["text"].str.findall(r"[^ \t\n\r\f]+").str.len()
+        nt = tokenize(df["text"]).str.len()
         ids = df["doc_id"].to_numpy(np.int64)
         return pa.table({"doc_id": pa.array(ids),
                          "shard": pa.array(ids % N_SHARDS),
@@ -388,8 +387,7 @@ def q_tfidf_top_terms(sf_dir: str) -> pd.DataFrame:
 
     def partial(b: pa.Table) -> pa.Table:
         df = b.to_pandas()
-        # RE2-\s token class, see q_seq_packing
-        toks = df["text"].str.findall(r"[^ \t\n\r\f]+").explode()
+        toks = tokenize(df["text"]).explode()
         toks = toks[toks.notna()]
         tf = toks.groupby(toks).size()
         uniq = toks.reset_index().drop_duplicates()  # (doc row, term)
@@ -703,8 +701,7 @@ def q_budget_select(sf_dir: str) -> pd.DataFrame:
 
     def tokens(b: pa.Table) -> pa.Table:
         df = b.to_pandas()
-        # RE2-\s token class, parity proven by q_token_stats
-        n = df["text"].str.findall(r"[^ \t\n\r\f]+").str.len().astype("int64")
+        n = tokenize(df["text"]).str.len().astype("int64")
         return pa.table({"doc_id": pa.array(df["doc_id"].to_numpy(np.int64)),
                          "n_chars": pa.array(df["n_chars"].to_numpy(np.int64)),
                          "n_tokens": pa.array(n.to_numpy(np.int64))})
@@ -1348,7 +1345,7 @@ def q_pmi_bigrams(sf_dir: str) -> pd.DataFrame:
 
     def partials(b: pa.Table) -> pa.Table:
         df = b.to_pandas()
-        toks = df["text"].str.findall(r"[^ \t\n\r\f]+")
+        toks = tokenize(df["text"])
         e = toks.explode().dropna()
         vals = e.to_numpy(dtype=object)
         idx = e.index.to_numpy()

@@ -42,7 +42,8 @@ def load_scene(synth_d: str, scene_id: int):
 @pytest.mark.parametrize("strategy", ["scene", "strips", "parquet"])
 def test_halo_matches_whole_scene_hillshade(synth_sf001, strategy):
     """Every halo lowering must reproduce the exact pixels a single-process
-    whole-scene computation yields — including across tile boundaries."""
+    whole-scene computation yields — including across tile boundaries —
+    and at padding 0 give back each tile as stored."""
     scene, mask, meta = load_scene(synth_sf001, 0)  # scene 0 = DEM
     dem = scene[0].astype(np.float64)
     # oracle: pad whole scene the same way the engine pads scene borders
@@ -53,12 +54,14 @@ def test_halo_matches_whole_scene_hillshade(synth_sf001, strategy):
                                      is_geographic=(meta["srid"] == 4326))
     exp_pix = exp_pix.astype(np.uint8)
 
-    if strategy == "parquet":
-        padded = halo.with_halo_from_parquet(f"{synth_sf001}/tiles.parquet", padding=1,
-                                             scene_ids=[0])
-    else:
+    def with_halo(padding):
+        if strategy == "parquet":
+            return halo.with_halo_from_parquet(f"{synth_sf001}/tiles.parquet",
+                                               padding=padding, scene_ids=[0])
         tiles = read_tiles(synth_sf001, scene_id=0)
-        padded = halo.with_halo(tiles, padding=1, strategy=strategy)
+        return halo.with_halo(tiles, padding=padding, strategy=strategy)
+
+    padded = with_halo(1)
 
     def kernel(p, m, mt):
         d = p if p.ndim == 2 else p[0]
@@ -74,6 +77,17 @@ def test_halo_matches_whole_scene_hillshade(synth_sf001, strategy):
         np.testing.assert_array_equal(pix, exp_pix[y0:y0 + tp, x0:x0 + tp],
                                       err_msg=f"tile {r['tile_id']}")
         np.testing.assert_array_equal(m, exp_mask[y0:y0 + tp, x0:x0 + tp])
+
+    unpadded = with_halo(0).take_all()
+    assert len(unpadded) == 16
+    for r in unpadded:
+        assert r["padding"] == 0
+        x0, y0 = int(r["tx"]) * tp, int(r["ty"]) * tp
+        pix = tilecodec.decode(r["pixels"], r["pixel_type"], r["band_count"], tp, tp)
+        np.testing.assert_array_equal(pix.reshape(scene.shape[0], tp, tp),
+                                      scene[:, y0:y0 + tp, x0:x0 + tp])
+        np.testing.assert_array_equal(tilecodec.decode_mask(r["mask"], tp, tp),
+                                      mask[y0:y0 + tp, x0:x0 + tp])
 
 
 def test_stack_reduce_ty_bands_match_one_unit_per_position(monkeypatch):
@@ -111,10 +125,12 @@ def test_storage_aligned_reads_empty(synth_sf001):
 
 def test_storage_aligned_queries_run_as_one_fused_operator(synth_sf001):
     """Read, pad or reduce, kernel and stats execute as ONE Ray Data
-    operator: the plan is the input buffer and one Read…->MapBatches… map."""
+    operator: the plan is the input buffer and one Read…->MapBatches… map.
+    A map followed by an exchange fuses into the read the same way."""
     import logging
     import re
 
+    from raster_functions_ray import analytic2
     from raster_functions_ray import rasterqueries as rq
 
     class Plans(logging.Handler):
@@ -127,9 +143,9 @@ def test_storage_aligned_queries_run_as_one_fused_operator(synth_sf001):
             if m:
                 self.plans.append(m.group(1))
 
-    lg = logging.getLogger("ray.data")
-    old = lg.level
-    for q in (rq.q_hillshade_stats, rq.q_median_composite_stats):
+    def plan_ops(q):
+        lg = logging.getLogger("ray.data")
+        old = lg.level
         h = Plans()
         lg.addHandler(h)
         lg.setLevel(logging.INFO)
@@ -139,8 +155,15 @@ def test_storage_aligned_queries_run_as_one_fused_operator(synth_sf001):
             lg.removeHandler(h)
             lg.setLevel(old)
         assert len(h.plans) == 1, h.plans
-        ops = h.plans[0].split(" -> ")
+        return h.plans[0].split(" -> ")
+
+    for q in (rq.q_hillshade_stats, rq.q_median_composite_stats,
+              analytic2.q_tri_expr_exact):
+        ops = plan_ops(q)
         assert len(ops) == 2 and re.match(r"TaskPoolMapOperator\[Read\w+->MapBatches\(", ops[1]), ops
+    ops = plan_ops(rq.q_topographic_c)
+    assert re.match(r"TaskPoolMapOperator\[Read\w+->MapBatches\(slope_aspect_cos\)\]", ops[1]), ops
+    assert len(ops) == 3 and "Aggregate" in ops[2], ops
 
 
 def test_composite_matches_stack_oracle(synth_sf001):
