@@ -218,7 +218,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "ndsi_ndwi_exact": analytic2.q_ndsi_ndwi_exact,
         "block_stats_minmax_exact": analytic2.q_block_stats_minmax_exact,
         "find_third_max_exact": analytic2.q_find_third_max_exact,
-        # spatial joins: cell encode, four interchangeable PIP lowerings,
+        # spatial joins: cell encode, point-in-rect and doc↔zone joins,
         # zonal, kNN (brute + cell-ring), adaptive coverings, NN classify
         "cell_assign": spatial.q_cell_assign,
         "pip_rect": spatial.q_pip_rect,
@@ -229,9 +229,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "knn_classify_vote": spatial.q_knn_classify_vote,
         "doc_zone_join": rq.q_doc_zone_join,
         "doc_zone_join_rect": spatial.q_doc_zone_join_rect,
-        "doc_zone_join_cellshuffle": spatial.q_doc_zone_join_cellshuffle,
-        "doc_zone_join_adaptive": spatial.q_doc_zone_join_adaptive,
-        "doc_zone_join_adaptive_full": spatial.q_doc_zone_join_adaptive_full,
         "adaptive_cover": spatial.q_adaptive_cover,
         "adaptive_cover_convex": spatial.q_adaptive_cover_convex,
         "tile_cells": rq.q_tile_cells,
@@ -596,10 +593,7 @@ def oracle_sql(sf: float = 0.01) -> dict[str, str]:
         "video_frame_plan": rq.video_frame_plan_oracle_sql(sf),
         "doc_zone_join": spatial.doc_zone_join_oracle_sql(sf),
         "knn_cell_ring": spatial.Q_KNN_SQL,
-        "doc_zone_join_cellshuffle": spatial.doc_zone_join_rect_oracle_sql(sf),
-        "doc_zone_join_adaptive": spatial.doc_zone_join_rect_oracle_sql(sf),
         "adaptive_cover_convex": spatial.adaptive_cover_convex_oracle_sql(sf),
-        "doc_zone_join_adaptive_full": spatial.doc_zone_join_oracle_sql(sf),
         "segment_except": rel.Q_SEGMENT_EXCEPT_SQL,
         "nation_segment_rollup": rel.Q_NATION_SEGMENT_ROLLUP_SQL,
         "event_type_pivot": rel.Q_EVENT_TYPE_PIVOT_SQL,

@@ -55,8 +55,8 @@ def seed_range(xmin: float, ymin: float, xmax: float, ymax: float,
     """Grid-index range [ix0, ix1] x [iy0, iy1] of cells whose rectangles
     intersect the (closed) bbox at ``level`` — BOTH ends clamped into the
     2^L grid (a bbox touching lat 90 / lon 360 must neither go out of grid
-    nor produce an empty range).  The ONE home of this arithmetic: covering,
-    adaptive_covering and the convex coverer all seed from it, and the SQL
+    nor produce an empty range).  The ONE home of this arithmetic:
+    adaptive_covering and the convex coverer both seed from it, and the SQL
     oracles mirror it with GREATEST/LEAST."""
     n = float(2**level)
     hi = int(n) - 1
@@ -69,21 +69,6 @@ def seed_range(xmin: float, ymin: float, xmax: float, ymax: float,
     iy0 = cl((ymin + 90.0) / 180.0 * n)
     iy1 = cl((ymax + 90.0) / 180.0 * n) if ymax > ymin else iy0
     return ix0, max(ix0, ix1), iy0, max(iy0, iy1)
-
-
-def covering(xmin: float, ymin: float, xmax: float, ymax: float, level: int) -> np.ndarray:
-    """All cell ids at ``level`` whose rectangle intersects the (closed) bbox.
-
-    The max edges are treated as INCLUSIVE: a bbox max landing exactly on a
-    cell boundary includes the boundary cell (harmless over-covering), so a
-    downstream exact containment test that counts the polygon boundary as
-    inside (spatial.point_in_convex_batch) never loses a candidate to the
-    coarse filter."""
-    ix0, ix1, iy0, iy1 = seed_range(xmin, ymin, xmax, ymax, level)
-    ixs = np.arange(ix0, ix1 + 1, dtype=np.int64)
-    iys = np.arange(iy0, iy1 + 1, dtype=np.int64)
-    gx, gy = np.meshgrid(ixs, iys, indexing="ij")
-    return level * LEVEL_STRIDE + gx.ravel() * IX_STRIDE + gy.ravel()
 
 
 def neighbors(cell_id: int, ring: int = 1) -> np.ndarray:

@@ -114,7 +114,7 @@ def run(sf_dir: str = "/root/testdata/sf0.001") -> rd.Dataset:
         from .. import tilecodec
 
         ckeys, cvals = ray.get(count_map_ref)
-        tid = np.asarray(batch["tile_id"].to_pylist(), dtype=object)
+        tid = batch["tile_id"].to_numpy(zero_copy_only=False)
         ext = np.asarray(batch["extent"].to_pylist(), dtype=np.float64)
         means = np.empty(batch.num_rows)
         for i, pix, msk in tilecodec.iter_tiles(batch):

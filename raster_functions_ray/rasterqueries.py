@@ -185,7 +185,8 @@ def q_zonal_remap_counts(sf_dir: str) -> pd.DataFrame:
 
 def q_doc_zone_join(sf_dir: str) -> pd.DataFrame:
     """Interleaved-doc text spans (WKT points) joined to the synthetic zone
-    polygons via the cell-indexed actor pool (spatial.ZoneJoiner)."""
+    polygons through one broadcast full/partial cell index
+    (spatial.doc_points_in_zones)."""
     from . import spatial
     from .sources import read_documents
 

@@ -389,10 +389,9 @@ def wkt_parse_points(texts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Parse 'POINT (x y)' rows; returns (idx, x, y) of the point rows.
 
     Fully vectorized in Arrow compute (RE2 extract + cast) — this runs on
-    every text span of the corpus inside ZoneJoiner.__call__ and the
-    cell-keyed join encoders, so a per-row Python loop here would dominate
-    the hot join path at scale. Accepts a pyarrow (Chunked)Array or a
-    plain list of strings."""
+    every text span of the corpus inside points_in_zones_batch, so a
+    per-row Python loop here would dominate the hot join path at scale.
+    Accepts a pyarrow (Chunked)Array or a plain list of strings."""
     if isinstance(texts, list):
         texts = pa.array(texts, pa.string())
     if isinstance(texts, pa.ChunkedArray):
@@ -410,99 +409,70 @@ def wkt_parse_points(texts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return idx.astype(np.int64), x, y
 
 
-class ZoneJoiner:
-    """Actor-pool stage: holds the (broadcast) zone table + per-cell zone
-    index across batches — the engine equivalent of the reference's
-    per-block ZonalAttributesTable query cache
-    (functions/deprecated/ZonalRemap.py:166-178).
+def zone_index(zones: pd.DataFrame) -> tuple:
+    """Every zone's CELL_LEVEL covering as one cell-sorted array — the
+    Raster Intervals layout (each zone a run of cells marked full or
+    partial).  Rect zones go in through their stored CCW vertices, so one
+    coverer marks both kinds: a cell is full only when all four corners
+    clear every edge by CONVEX_FULL_EPS, and a rounding mismatch between
+    grid.cell_encode and the cell bounds can only make a cell partial.
 
-    State built once per actor in __init__: for each cell id at CELL_LEVEL,
-    the list of zones whose bbox intersects the cell (coarse filter); the
-    exact convex test runs per batch only against those candidates.
-    """
-
-    def __init__(self, zones_ref):
-        zones = ray.get(zones_ref)
-        self.zones = zones
-        self.cell_to_zones: dict[int, list[int]] = {}
-        for i in range(len(zones)):
-            bb = zones["bbox"][i]
-            for c in grid.covering(bb[0], bb[1], bb[2], bb[3], CELL_LEVEL):
-                self.cell_to_zones.setdefault(int(c), []).append(i)
-
-    def __call__(self, b: pa.Table) -> pa.Table:
-        pidx, x, y = wkt_parse_points(b["text"])
-        if x.size == 0:  # all-POLYGON batch: the [0]/[0] boundary slices
-            # below would still index sc[0] on an empty array
-            return pa.table({"doc_id": pa.array([], pa.string()),
-                             "zone_id": pa.array([], pa.int32())})
-        doc_ids = b["doc_id"].take(pa.array(pidx)).to_numpy(zero_copy_only=False)
-        cells = grid.cell_encode(x, y, CELL_LEVEL)
-        # group points by cell (one stable sort), then run the VECTORIZED
-        # containment test per (cell, candidate-zone) pair — no per-point
-        # Python loop (the exact test cost scales with candidate pairs)
-        order = np.argsort(cells, kind="stable")
-        sc = cells[order]
-        cuts = np.flatnonzero(np.diff(sc)) + 1
-        starts = np.concatenate([[0], cuts])
-        ends = np.concatenate([cuts, [sc.size]])
-        z = self.zones
-        sel_docs, sel_zones = [], []
-        for s, e in zip(starts, ends):
-            zis = self.cell_to_zones.get(int(sc[s]), ())
-            if not zis:
-                continue
-            idxs = order[s:e]
-            xx, yy = x[idxs], y[idxs]
-            for zi in zis:
-                if z["is_rect"][zi]:
-                    bb = z["bbox"][zi]
-                    hit = (bb[0] <= xx) & (xx < bb[2]) & (bb[1] <= yy) & (yy < bb[3])
-                else:
-                    verts = np.asarray(z["vertices"][zi], dtype=np.float64)
-                    hit = point_in_convex_batch(xx, yy, verts)
-                if hit.any():
-                    took = idxs[hit]
-                    sel_docs.append(doc_ids[took])
-                    sel_zones.append(np.full(took.size, int(z["zone_id"][zi]), np.int32))
-        if sel_docs:
-            out_doc = np.concatenate(sel_docs)
-            out_zone = np.concatenate(sel_zones)
-        else:
-            out_doc, out_zone = [], np.asarray([], np.int32)
-        return pa.table({"doc_id": pa.array(list(out_doc), pa.string()),
-                         "zone_id": pa.array(out_zone, pa.int32())})
+    Returns (cell, zone, full, zone_id, geo): the sorted covering cell
+    ids, each cell's zone position and full flag, the zone ids (int32),
+    and per zone (is_rect, bbox, vertices) for the exact test."""
+    z, _, ix, iy, full = adaptive_covering_convex(
+        range(len(zones)), list(zones["bbox"]), list(zones["vertices"]),
+        CELL_LEVEL, CELL_LEVEL)
+    cell = CELL_LEVEL * grid.LEVEL_STRIDE + ix * grid.IX_STRIDE + iy
+    order = np.argsort(cell, kind="stable")
+    geo = [(bool(r), np.asarray(bb, np.float64), np.asarray(v, np.float64))
+           for r, bb, v in zip(zones["is_rect"], zones["bbox"], zones["vertices"])]
+    return (cell[order], z[order], full[order],
+            zones["zone_id"].to_numpy(np.int32), geo)
 
 
-_ZONE_JOINERS: dict = {}
+def zone_contains(geo: tuple, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The exact test of one zone: half-open bbox for rects, the
+    boundary-inclusive convex test otherwise (both as the SQL oracle)."""
+    is_rect, bb, verts = geo
+    if is_rect:
+        return (bb[0] <= x) & (x < bb[2]) & (bb[1] <= y) & (y < bb[3])
+    return point_in_convex_batch(x, y, verts)
 
 
-def _zone_joiner_for(zref) -> "ZoneJoiner":
-    """Per-WORKER build-once cache for the zone index, keyed on the
-    broadcast ref — actor-__init__ semantics on a task pool: Ray reuses
-    warm worker processes, so the index is built once per worker while
-    scheduling skips the actor-pool spin-up (~0.5 s per query at 32
-    CPUs; the dedup._MINHASHER pattern)."""
-    key = zref.hex()
-    zj = _ZONE_JOINERS.get(key)
-    if zj is None:
-        if len(_ZONE_JOINERS) > 4:  # stale refs from finished queries
-            _ZONE_JOINERS.clear()
-        zj = ZoneJoiner(zref)
-        _ZONE_JOINERS[key] = zj
-    return zj
+def points_in_zones_batch(b: pa.Table, index: tuple) -> pa.Table:
+    """Text spans of one batch -> (doc_id, zone_id) for every POINT in a
+    zone: one searchsorted of the point cells against ``index``
+    (zone_index), np.repeat into (point, zone) candidate pairs, full
+    pairs kept untested and partial pairs refined per zone."""
+    cell, zone, full, zone_id, geo = index
+    pidx, x, y = wkt_parse_points(b["text"])
+    pcell = grid.cell_encode(x, y, CELL_LEVEL)
+    lo = np.searchsorted(cell, pcell, "left")
+    n = np.searchsorted(cell, pcell, "right") - lo
+    pt = np.repeat(np.arange(x.size), n)
+    at = np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(pt.size)
+    zi = zone[at]
+    keep = full[at]
+    part = np.flatnonzero(~keep)
+    part = part[np.argsort(zi[part], kind="stable")]
+    for grp in np.split(part, np.flatnonzero(np.diff(zi[part])) + 1):
+        if grp.size:
+            keep[grp] = zone_contains(geo[zi[grp[0]]], x[pt[grp]], y[pt[grp]])
+    return pa.table({
+        "doc_id": b["doc_id"].take(pa.array(pidx[pt[keep]])).cast(pa.string()),
+        "zone_id": pa.array(zone_id[zi[keep]], pa.int32())})
 
 
 def doc_points_in_zones(docs: rd.Dataset, zones: pd.DataFrame) -> rd.Dataset:
-    """Text-span POINT geometries joined to the synthetic zone polygons via
-    the cell-indexed per-worker zone cache (stateful-stage semantics on a
-    task pool, see _zone_joiner_for)."""
+    """Text-span POINT geometries joined to the zone polygons: the zone
+    index is built on the driver and broadcast once; each 8,192-span batch
+    attaches it with points_in_zones_batch."""
     from .stages import spans
 
-    exploded = spans.explode_spans(docs)
-    pts = spans.text_spans(exploded)
-    zref = ray.put(zones)
-    return pts.map_batches(lambda b: _zone_joiner_for(zref)(b),
+    iref = ray.put(zone_index(zones))
+    pts = spans.text_spans(spans.explode_spans(docs))
+    return pts.map_batches(lambda b: points_in_zones_batch(b, ray.get(iref)),
                            batch_format="pyarrow", batch_size=8192)
 
 
@@ -533,8 +503,9 @@ def q_doc_zone_join_rect(sf_dir: str) -> pd.DataFrame:
     """Doc text-span POINT geometries joined to the RECTANGULAR synthetic
     zones only — the SQL-exact slice of q_doc_zone_join (DuckDB parses the
     same WKT strings and applies the same half-open bbox containment; the
-    convex-polygon remainder stays a rows-only check).  Same ZoneJoiner
-    actor-pool path, zone table filtered before broadcast."""
+    convex polygons need the list-lambda test of doc_zone_join_oracle_sql).
+    Same lowering as q_doc_zone_join, zone table filtered before the
+    index is built."""
     from . import synth
     from .sources import read_documents, read_zones
 
@@ -563,65 +534,6 @@ FROM p JOIN z ON p.x >= z.bbox[1] AND p.x < z.bbox[3]
              AND p.y >= z.bbox[2] AND p.y < z.bbox[4]
 ORDER BY doc_id, zone_id
 """
-
-
-def q_doc_zone_join_cellshuffle(sf_dir: str) -> pd.DataFrame:
-    """The SHUFFLE-JOIN lowering of the doc↔zone spatial join (north-star:
-    'point-in-polygon joins with groupby-aggregate shuffles keyed on cell
-    id'): when the zone side is too big to broadcast, both sides key on
-    the SAME cell grid — zones explode to (cell_id, zone) coverage rows,
-    points encode to cell_id, and a hash join on cell_id co-partitions
-    them; the exact containment test runs vectorized inside the join
-    output.  Returns the identical row set as the broadcast ZoneJoiner
-    path and shares q_doc_zone_join_rect's SQL oracle (rect zones)."""
-    import pyarrow.compute as pc
-
-    from . import synth
-    from .sources import read_documents, read_zones
-    from .stages import spans
-
-    d = synth.synth_dir_for(sf_dir)
-    zones = read_zones(d).to_pandas()
-    zones = zones[zones["is_rect"]].reset_index(drop=True)
-
-    # zone side: one (cell_id, zone) row per covered cell — the shuffle key
-    zrows = {"cell_id": [], "zone_id": [], "xmin": [], "ymin": [],
-             "xmax": [], "ymax": []}
-    for _, zr in zones.iterrows():
-        bb = zr["bbox"]
-        for c in grid.covering(bb[0], bb[1], bb[2], bb[3], CELL_LEVEL):
-            zrows["cell_id"].append(int(c))
-            zrows["zone_id"].append(int(zr["zone_id"]))
-            zrows["xmin"].append(bb[0]); zrows["ymin"].append(bb[1])
-            zrows["xmax"].append(bb[2]); zrows["ymax"].append(bb[3])
-    zcells = rd.from_pandas(pd.DataFrame(zrows))
-
-    # point side: WKT POINT spans keyed by the same cell grid
-    pts = spans.text_spans(spans.explode_spans(read_documents(d)))
-
-    def encode_points(b: pa.Table) -> pa.Table:
-        pidx, x, y = wkt_parse_points(b["text"])
-        cells = grid.cell_encode(x, y, CELL_LEVEL)
-        return pa.table({"cell_id": pa.array(cells, pa.int64()),
-                         "doc_id": b["doc_id"].take(pa.array(pidx)).combine_chunks(),
-                         "x": pa.array(x), "y": pa.array(y)})
-
-    pcells = pts.map_batches(encode_points, batch_format="pyarrow", batch_size=8192)
-    joined = pcells.join(zcells, join_type="inner", num_partitions=join_partitions(),
-                         on=("cell_id",))
-
-    def contains(b: pa.Table) -> pa.Table:
-        x = np.asarray(b["x"]); y = np.asarray(b["y"])
-        hit = ((np.asarray(b["xmin"]) <= x) & (x < np.asarray(b["xmax"]))
-               & (np.asarray(b["ymin"]) <= y) & (y < np.asarray(b["ymax"])))
-        kept = b.filter(pa.array(hit))
-        return kept.select(["doc_id", "zone_id"])
-
-    # no dedup: each point lies in exactly ONE cell, so a (span, zone) hit
-    # joins exactly once — same row multiplicity as the oracle's span join
-    out = joined.map_batches(contains, batch_format="pyarrow").to_pandas()
-    out["zone_id"] = out["zone_id"].astype("int64")
-    return out.sort_values(["doc_id", "zone_id"]).reset_index(drop=True)
 
 
 def doc_zone_join_oracle_sql(sf: float = 0.01) -> str:
@@ -832,87 +744,6 @@ ORDER BY zone_id, cell_id
 """
 
 
-def _encode_span_points(b: pa.Table, levels) -> pa.Table:
-    """WKT POINT spans → (cell_id, doc_id, x, y) rows at every level in
-    ``levels`` — the one point-side encoder all cell-keyed join lowerings
-    share (single-level for cellshuffle, the level range for the adaptive
-    coverings)."""
-    pidx, x, y = wkt_parse_points(b["text"])
-    pt_docs = b["doc_id"].take(pa.array(pidx)).combine_chunks()
-    outs = []
-    for lvl in levels:
-        outs.append(pa.table({
-            "cell_id": pa.array(grid.cell_encode(x, y, lvl), pa.int64()),
-            "doc_id": pt_docs,
-            "x": pa.array(x), "y": pa.array(y)}))
-    return pa.concat_tables(outs)
-
-
-def q_doc_zone_join_adaptive(sf_dir: str) -> pd.DataFrame:
-    """The ADAPTIVE-COVERING lowering of the doc↔zone spatial join: the
-    zone side ships its mixed-level covering (q_adaptive_cover's cells —
-    O(perimeter) rows per zone instead of the single-level covering's
-    O(area)), the point side emits its ancestor cell at every level in
-    [{ADAPT_LMIN}, {ADAPT_LMAX}], and the hash join on cell_id
-    co-partitions them.  Cells marked full accept WITHOUT an exact test
-    (the covering guarantees containment); only boundary-cell matches run
-    the bbox predicate.  Per zone the covering cells are pairwise
-    disjoint, so each (span, zone) hit joins exactly once — identical row
-    multiplicity, and the identical row SET, as q_doc_zone_join_rect,
-    whose SQL oracle this query shares (third interchangeable lowering
-    after broadcast and single-level cellshuffle)."""
-    from . import synth
-    from .grid import IX_STRIDE, LEVEL_STRIDE, adaptive_covering
-    from .sources import read_documents, read_zones
-    from .stages import spans
-
-    d = synth.synth_dir_for(sf_dir)
-
-    def zcover(b: pa.Table) -> pa.Table:
-        df = b.to_pandas()
-        df = df[df["is_rect"]]
-        if df.empty:
-            return pa.table({"cell_id": pa.array([], pa.int64()),
-                             "zone_id": pa.array([], pa.int64()),
-                             "is_full": pa.array([], pa.bool_()),
-                             "xmin": pa.array([], pa.float64()),
-                             "ymin": pa.array([], pa.float64()),
-                             "xmax": pa.array([], pa.float64()),
-                             "ymax": pa.array([], pa.float64())})
-        bb = np.stack(df["bbox"].to_numpy())
-        z, lv, ix, iy, full = adaptive_covering(bb, ADAPT_LMIN, ADAPT_LMAX)
-        return pa.table({
-            "cell_id": pa.array(lv * LEVEL_STRIDE + ix * IX_STRIDE + iy),
-            "zone_id": pa.array(df["zone_id"].to_numpy(np.int64)[z]),
-            "is_full": pa.array(full),
-            "xmin": pa.array(bb[z, 0]), "ymin": pa.array(bb[z, 1]),
-            "xmax": pa.array(bb[z, 2]), "ymax": pa.array(bb[z, 3])})
-
-    zcells = read_zones(d).map_batches(zcover, batch_format="pyarrow",
-                                       batch_size=4096)
-
-    pts = spans.text_spans(spans.explode_spans(read_documents(d)))
-
-    def encode_points(b: pa.Table) -> pa.Table:
-        return _encode_span_points(b, range(ADAPT_LMIN, ADAPT_LMAX + 1))
-
-    pcells = pts.map_batches(encode_points, batch_format="pyarrow",
-                             batch_size=8192)
-    joined = pcells.join(zcells, join_type="inner",
-                         num_partitions=join_partitions(), on=("cell_id",))
-
-    def contains(b: pa.Table) -> pa.Table:
-        x = np.asarray(b["x"]); y = np.asarray(b["y"])
-        full = np.asarray(b["is_full"])
-        hit = full | ((np.asarray(b["xmin"]) <= x) & (x < np.asarray(b["xmax"]))
-                      & (np.asarray(b["ymin"]) <= y) & (y < np.asarray(b["ymax"])))
-        return b.filter(pa.array(hit)).select(["doc_id", "zone_id"])
-
-    out = joined.map_batches(contains, batch_format="pyarrow").to_pandas()
-    out["zone_id"] = out["zone_id"].astype("int64")
-    return out.sort_values(["doc_id", "zone_id"]).reset_index(drop=True)
-
-
 def adaptive_covering_convex(zone_ids, bboxes, verts_list,
                              level_min: int = ADAPT_LMIN,
                              level_max: int = ADAPT_LMAX):
@@ -1064,95 +895,6 @@ FROM walk
 WHERE ({inside}) OR (level = {ADAPT_LMAX} AND ({inter}))
 ORDER BY zone_id, cell_id
 """
-
-
-def q_doc_zone_join_adaptive_full(sf_dir: str) -> pd.DataFrame:
-    """The FULL doc↔zone spatial join (rect AND convex zones) through
-    adaptive coverings — fourth interchangeable lowering, sharing the full
-    join's SQL oracle (doc_zone_join_oracle_sql):
-
-    - rect zones cover via grid.adaptive_covering, convex zones via
-      adaptive_covering_convex; both emit disjoint mixed-level cells, so
-      each (span, zone) hit joins exactly once;
-    - full cells accept with NO exact test (rects: closed cell ⊆ closed
-      bbox implies the half-open point test; convex: corner containment
-      implies cell containment);
-    - boundary matches run the exact per-zone predicate with zone geometry
-      from a ray.put broadcast (zones are the small side — the covering
-      rows carry only ids and flags through the shuffle, never geometry)."""
-    import ray
-
-    from . import synth
-    from .grid import IX_STRIDE, LEVEL_STRIDE, adaptive_covering
-    from .sources import read_documents, read_zones
-    from .stages import spans
-
-    d = synth.synth_dir_for(sf_dir)
-    zones = read_zones(d).to_pandas()
-
-    rect = zones[zones["is_rect"]]
-    conv = zones[~zones["is_rect"]]
-    parts = []
-    if len(rect):
-        bb = np.stack(rect["bbox"].to_numpy())
-        z, lv, ix, iy, full = adaptive_covering(bb, ADAPT_LMIN, ADAPT_LMAX)
-        parts.append(pa.table({
-            "cell_id": pa.array(lv * LEVEL_STRIDE + ix * IX_STRIDE + iy),
-            "zone_id": pa.array(rect["zone_id"].to_numpy(np.int64)[z]),
-            "is_full": pa.array(full)}))
-    if len(conv):
-        z, lv, ix, iy, full = adaptive_covering_convex(
-            conv["zone_id"].to_numpy(np.int64),
-            list(conv["bbox"]), list(conv["vertices"]),
-            ADAPT_LMIN, ADAPT_LMAX)
-        parts.append(pa.table({
-            "cell_id": pa.array(lv * LEVEL_STRIDE + ix * IX_STRIDE + iy),
-            "zone_id": pa.array(z),
-            "is_full": pa.array(full)}))
-    if not parts:  # zero zones: an empty join result, not a concat crash
-        parts = [pa.table({"cell_id": pa.array([], pa.int64()),
-                           "zone_id": pa.array([], pa.int64()),
-                           "is_full": pa.array([], pa.bool_())})]
-    zcells = rd.from_arrow(pa.concat_tables(parts))
-
-    # broadcast zone geometry once for the boundary-cell exact tests
-    geo = {int(r.zone_id): (bool(r.is_rect),
-                            np.asarray(r.bbox, np.float64),
-                            np.asarray(r.vertices, np.float64))
-           for r in zones.itertuples()}
-    gref = ray.put(geo)
-
-    pts = spans.text_spans(spans.explode_spans(read_documents(d)))
-
-    def encode_points(b: pa.Table) -> pa.Table:
-        return _encode_span_points(b, range(ADAPT_LMIN, ADAPT_LMAX + 1))
-
-    pcells = pts.map_batches(encode_points, batch_format="pyarrow",
-                             batch_size=8192)
-    joined = pcells.join(zcells, join_type="inner",
-                         num_partitions=join_partitions(), on=("cell_id",))
-
-    def contains(b: pa.Table) -> pa.Table:
-        df = b.to_pandas()
-        keep = df["is_full"].to_numpy(bool).copy()
-        g = ray.get(gref)
-        x = df["x"].to_numpy(np.float64)
-        y = df["y"].to_numpy(np.float64)
-        for zid, sub in df[~df["is_full"]].groupby("zone_id", sort=False):
-            is_rect, bb, verts = g[int(zid)]
-            ii = sub.index.to_numpy()
-            if is_rect:
-                hit = ((bb[0] <= x[ii]) & (x[ii] < bb[2])
-                       & (bb[1] <= y[ii]) & (y[ii] < bb[3]))
-            else:
-                hit = point_in_convex_batch(x[ii], y[ii], verts)
-            keep[ii] = hit
-        out = df[keep]
-        return pa.table({"doc_id": pa.array(out["doc_id"], pa.string()),
-                         "zone_id": pa.array(out["zone_id"].to_numpy(np.int64))})
-
-    out = joined.map_batches(contains, batch_format="pyarrow").to_pandas()
-    return out.sort_values(["doc_id", "zone_id"]).reset_index(drop=True)
 
 
 # --------------------------------------- large x large rect-overlap join
@@ -1786,9 +1528,9 @@ def q_segment_join(sf_dir: str) -> pd.DataFrame:
                          "d2_num": pa.array(num[hit]),
                          "d2_den": pa.array(den[hit])})
 
-    # size dispatch (the doc_zone_join discipline): when the POINT side
-    # is below a metadata-known limit, broadcast its sorted cell index
-    # once via ray.put and probe from the segment side — ZERO exchanges;
+    # size dispatch: when the POINT side is below a metadata-known limit,
+    # broadcast its sorted cell index once via ray.put and probe from the
+    # segment side — ZERO exchanges;
     # above, pair formation is the cell-keyed HASH JOIN + vectorized
     # filter (a map_groups over the mostly point-free cell grid paid one
     # Python call per cell — 40k cells, 10k points → 6.5 s; the join

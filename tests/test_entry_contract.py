@@ -3,8 +3,9 @@ name a registered query, every registry value must be callable, and the
 registries must build without starting Ray."""
 
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 
 def test_oracle_keys_subset_of_queries(ray_session):

@@ -56,17 +56,6 @@ def test_sum_partial_associativity(seed, splits):
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.floats(0.0, 359.999), st.floats(-89.999, 89.999), st.integers(1, 12))
-def test_cell_covering_contains_point(lon, lat, level):
-    """covering(bbox around p) always contains cell_encode(p)."""
-    c = grid.cell_encode(np.asarray([lon]), np.asarray([lat]), level)[0]
-    eps = 1e-6
-    cells = grid.covering(max(lon - eps, 0), max(lat - eps, -90),
-                          min(lon + eps, 360), min(lat + eps, 90), level)
-    assert c in set(cells.tolist())
-
-
-@settings(max_examples=50, deadline=None)
 @given(st.floats(0.0, 359.999), st.floats(-89.999, 89.999), st.integers(2, 12))
 def test_cell_parent_consistent(lon, lat, level):
     """parent(encode(p, L)) == encode(p, L-1)."""

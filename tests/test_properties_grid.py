@@ -1,12 +1,15 @@
-"""Hypothesis property tests for the hierarchical grid (pure numpy, no Ray)."""
+"""Hypothesis property tests for the hierarchical grid and the zone index
+(pure numpy, no Ray)."""
 
 import numpy as np
-from hypothesis import given, settings
+import pandas as pd
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from raster_functions_ray.grid import (IX_STRIDE, LEVEL_STRIDE,
                                        adaptive_covering, cell_decode,
-                                       cell_encode, covering, parent)
+                                       cell_encode, parent)
+from raster_functions_ray.spatial import CELL_LEVEL, zone_contains, zone_index
 
 lon = st.floats(min_value=0.0, max_value=360.0, allow_nan=False,
                 allow_infinity=False)
@@ -68,17 +71,89 @@ def test_cell_encode_decode_parent_roundtrip(x, y, level):
         assert pix[0] * 2 <= ix[0] < (pix[0] + 1) * 2
 
 
-@settings(max_examples=100, deadline=None)
-@given(x0=lon, y0=lat, dx=st.floats(0.0, 40.0), dy=st.floats(0.0, 20.0),
-       level=st.integers(1, 8))
-def test_covering_contains_every_interior_point_cell(x0, y0, dx, dy, level):
-    xmin, ymin = x0, y0
-    xmax, ymax = min(360.0, x0 + dx), min(90.0, y0 + dy)
-    cells = set(covering(xmin, ymin, xmax, ymax, level).tolist())
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        px = rng.uniform(xmin, xmax) if xmax > xmin else xmin
-        py = rng.uniform(ymin, ymax) if ymax > ymin else ymin
-        c = int(cell_encode(np.asarray([min(px, 359.999999)]),
-                            np.asarray([py]), level)[0])
-        assert c in cells
+# zone edges either on the CELL_LEVEL lattice (cell corners, the poles and
+# the antimeridian included) or rounded to 6 decimals like the synthetic
+# zones; cell-size steps in lon and lat
+CELL_W, CELL_H = 360.0 / 2**CELL_LEVEL, 180.0 / 2**CELL_LEVEL
+zone_lon = st.one_of(st.integers(0, 2**CELL_LEVEL).map(lambda i: i * CELL_W),
+                     lon.map(lambda v: round(v, 6)))
+zone_lat = st.one_of(
+    st.integers(0, 2**CELL_LEVEL).map(lambda i: i * CELL_H - 90.0),
+    lat.map(lambda v: round(v, 6)))
+
+
+@st.composite
+def rect_zone(draw):
+    xa, xb = sorted((draw(zone_lon), draw(zone_lon)))
+    ya, yb = sorted((draw(zone_lat), draw(zone_lat)))
+    assume(xb > xa and yb > ya)
+    return True, [xa, ya, xb, yb], [xa, ya, xb, ya, xb, yb, xa, yb]
+
+
+@st.composite
+def convex_zone(draw):
+    """A CCW convex ring: an ellipse sampled at sorted angles (the synth
+    shape), or an octagon cut from a lattice rectangle, whose edges run
+    along cell edges and diagonally through cell corners."""
+    if draw(st.booleans()):
+        cx = draw(st.floats(25.0, 335.0))
+        cy = draw(st.floats(-65.0, 65.0))
+        rx, ry = draw(st.floats(0.5, 25.0)), draw(st.floats(0.5, 25.0))
+        ang = np.sort(draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=3,
+                                    max_size=8, unique=True)))
+        assume(np.diff(np.r_[ang, ang[0] + 2 * np.pi]).max() < np.pi)
+        verts = np.round(np.c_[cx + rx * np.cos(ang),
+                               cy + ry * np.sin(ang)].ravel(), 6)
+    else:
+        i0, j0 = draw(st.integers(0, 2**CELL_LEVEL - 4)), draw(
+            st.integers(0, 2**CELL_LEVEL - 4))
+        w = draw(st.integers(3, min(12, 2**CELL_LEVEL - i0)))
+        h = draw(st.integers(3, min(12, 2**CELL_LEVEL - j0)))
+        c = draw(st.integers(1, (min(w, h) - 1) // 2))
+        ring = [(i0 + c, j0), (i0 + w - c, j0), (i0 + w, j0 + c),
+                (i0 + w, j0 + h - c), (i0 + w - c, j0 + h), (i0 + c, j0 + h),
+                (i0, j0 + h - c), (i0, j0 + c)]
+        verts = np.asarray([(i * CELL_W, j * CELL_H - 90.0) for i, j in ring]).ravel()
+    vx, vy = verts[0::2], verts[1::2]
+    return False, [vx.min(), vy.min(), vx.max(), vy.max()], list(verts)
+
+
+def _near_cell(ix, iy, rng):
+    """Points in and next to the closed cell: corners and edge midpoints,
+    each also one ulp out in both axes, plus uniform interior points."""
+    u = np.r_[0.0, 0.5, 1.0, rng.uniform(0, 1, 8)]
+    x = (ix + u) * CELL_W
+    y = (iy + u) * CELL_H - 90.0
+    x = np.r_[x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)]
+    y = np.r_[y, np.nextafter(y, -np.inf), np.nextafter(y, np.inf)]
+    gx, gy = np.meshgrid(x, y)
+    return gx.ravel(), gy.ravel()
+
+
+@settings(max_examples=150, deadline=None)
+@given(zones=st.lists(st.one_of(rect_zone(), convex_zone()), min_size=1,
+                      max_size=3))
+@example(zones=[(True, [0.0, 87.1875, 11.25, 90.0],
+                 [0.0, 87.1875, 11.25, 87.1875, 11.25, 90.0, 0.0, 90.0])])
+def test_zone_index_full_cells_are_conservative(zones):
+    """Every point that grid.cell_encode puts in a cell the zone index
+    marks full passes that zone's exact test (so the join may skip the
+    test there), and every exact hit lies in a covering cell of its zone."""
+    df = pd.DataFrame({"zone_id": np.arange(len(zones), dtype=np.int32),
+                       "is_rect": [z[0] for z in zones],
+                       "bbox": [z[1] for z in zones],
+                       "vertices": [z[2] for z in zones]})
+    cell, zone, full, _, geo = zone_index(df)
+    assert (np.diff(cell) >= 0).all()
+    rng = np.random.default_rng(0)
+    for m in np.flatnonzero(full):
+        _, ix, iy = cell_decode(cell[m:m + 1])
+        x, y = _near_cell(ix[0], iy[0], rng)
+        inc = cell_encode(x, y, CELL_LEVEL) == cell[m]
+        assert zone_contains(geo[zone[m]], x[inc], y[inc]).all()
+    for k, (_, (xa, ya, xb, yb), verts) in enumerate(zones):
+        x = np.r_[rng.uniform(xa, xb, 200), verts[0::2], xa, xb]
+        y = np.r_[rng.uniform(ya, yb, 200), verts[1::2], ya, yb]
+        hit = zone_contains(geo[k], x, y) & (x < 360.0)  # lon is [0, 360)
+        assert np.isin(cell_encode(x[hit], y[hit], CELL_LEVEL),
+                       cell[zone == k]).all()

@@ -1,10 +1,14 @@
 """Skew salting + resumable partitioned pipeline tests."""
 
+from pathlib import Path
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
 import ray.data as rd
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def skewed_ds():
@@ -179,6 +183,34 @@ class TestOraclePairsAtSf0001:
         assert len(a) == len(b) > 0
         assert a["doc_id"].tolist() == b["doc_id"].tolist()
         assert a["zone_id"].tolist() == b["zone_id"].tolist()
+
+    def test_doc_zone_join_rect_matches_oracle(self, synth_sf001):
+        import duckdb
+        from raster_functions_ray import spatial
+        mine = spatial.q_doc_zone_join_rect("/root/testdata/sf0.001")
+        oracle = duckdb.connect().execute(
+            spatial.doc_zone_join_rect_oracle_sql(0.001)).df()
+        assert len(mine) == len(oracle) > 0
+        assert mine["doc_id"].tolist() == oracle["doc_id"].tolist()
+        assert mine["zone_id"].tolist() == oracle["zone_id"].tolist()
+
+    def test_doc_zone_join_empty_sides(self, synth_sf001):
+        # a batch with no POINT span, and a zone table with no zones, give
+        # an empty (doc_id: string, zone_id: int32) table rather than raise
+        import pyarrow as pa
+        from raster_functions_ray import spatial
+        from raster_functions_ray.sources import read_documents, read_zones
+        zones = read_zones(synth_sf001).to_pandas()
+        schema = pa.schema([("doc_id", pa.string()), ("zone_id", pa.int32())])
+        polys = pa.table({"doc_id": ["d1", "d2"],
+                          "text": ["POLYGON ((0 0, 1 0, 1 1, 0 0))", "lorem"]})
+        pts = pa.table({"doc_id": ["d1"], "text": ["POINT (10 10)"]})
+        for batch, zs in ((polys, zones), (pts, zones.iloc[:0])):
+            out = spatial.points_in_zones_batch(batch, spatial.zone_index(zs))
+            assert out.num_rows == 0 and out.schema == schema
+        ds = spatial.doc_points_in_zones(read_documents(synth_sf001),
+                                         zones.iloc[:0])
+        assert ds.count() == 0
 
 
 class TestNgramJaccard:
@@ -571,7 +603,7 @@ class TestRunJobSurface:
         r = subprocess.run(
             [sys.executable, "scripts/run_job.py", "--query", "token_stats",
              "--sf-dir", "/root/testdata/sf0.001", "--output", out_dir],
-            capture_output=True, text=True, cwd="/root/repo", env=env,
+            capture_output=True, text=True, cwd=REPO, env=env,
             timeout=240)
         assert r.returncode == 0, r.stderr[-2000:]
         metrics = json.loads(r.stdout.strip().splitlines()[-1])
