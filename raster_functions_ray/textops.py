@@ -135,7 +135,9 @@ class QualityScorer:
         df = b if isinstance(b, pd.DataFrame) else b.to_pandas()
         # the level-0 groupby below requires unique row labels; a caller
         # passing a concat'd frame with duplicate index would otherwise
-        # get silently merged token sums
+        # get silently merged token sums.  The caller's index is restored
+        # on the output.
+        index = df.index
         df = df.reset_index(drop=True)
         toks = df["text"].str.lower().str.findall(self.word_re)
         n_raw = toks.str.len()
@@ -161,6 +163,7 @@ class QualityScorer:
             "mean_word_len": mean_wl,
             "alpha_ratio": df["text"].str.count(r"[A-Za-z]") / df["text"].str.len().clip(lower=1),
         })
+        df_out.index = index
         return df_out
 
 

@@ -8,7 +8,7 @@ import warnings
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 from raster_functions_ray.functions import focal as fc
@@ -198,6 +198,10 @@ class TestStack:
                 ref = np.nanmedian(d, axis=0)
             got = st.nanmedian_axis0(d.copy())
             assert np.array_equal(got, ref, equal_nan=True)
+        # integer data reduces in f8, as np.nanmedian's does
+        ints = rng.integers(-2**40, 2**40, size=(7, 2, 3, 3))
+        got = st.nanmedian_axis0(ints)
+        assert got.dtype == np.float64 and np.array_equal(got, np.nanmedian(ints, axis=0))
 
     def test_pixel_percentile(self):
         sr = np.stack([np.full((2, 2), v) for v in (10.0, 20.0, 30.0, 40.0)])[:, None]
@@ -519,27 +523,118 @@ def _qa_stacks(draw):
     return np.concatenate([sr, qa], axis=1), bands
 
 
+_INT_DTYPES = [np.uint8, np.uint16, np.int16, np.int32, np.uint32]
+
+
+@hs.composite
+def _int_qa_stacks(draw):
+    """(scene, band, h, w) integer stacks 0-24 deep, SR bands then one QA
+    band, both drawn mostly from the values where a native-width sort could
+    go wrong: the dtype's extremes (its max is the invalid sentinel), the
+    Landsat clear codes, 752 (cloud), −3001 and, at 32 bits, values that
+    f4 rounds."""
+    dt = np.dtype(draw(hs.sampled_from(_INT_DTYPES)))
+    ii = np.iinfo(dt)
+    pool = [ii.min, ii.min + 1, ii.max - 1, ii.max, 0, 1, 752, *st.LANDSAT_CLEAR_PIX_VALS]
+    if ii.min < 0:
+        pool.append(int(st.FILTER_VAL))
+    if dt.itemsize == 4:
+        pool += [2**24 + 1, 2**24 + 2, 2**24 + 3, 2**31 - 65, 2**31 - 64]
+    pool = sorted({int(v) for v in pool if ii.min <= v <= ii.max})
+    n, bands = draw(hs.integers(0, 24)), draw(hs.integers(1, 3))
+    h, w = draw(hs.integers(1, 3)), draw(hs.integers(1, 3))
+    sr = draw(hnp.arrays(dt, (n, bands, h, w), elements=hs.one_of(
+        hs.sampled_from(pool), hs.integers(int(ii.min), int(ii.max)))))
+    qa = draw(hnp.arrays(dt, (n, 1, h, w), elements=hs.sampled_from(pool)))
+    return np.concatenate([sr, qa], axis=1), bands
+
+
+# a valid u2 65535 behind an invalid entry: it must tie with the sentinel
+_MAX_BEHIND_INVALID = np.array([[65535, 672], [7, 752]], np.uint16).reshape(2, 2, 1, 1)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@settings(max_examples=300, deadline=None)
-@given(_qa_stacks(), hs.floats(0.0, 100.0))
+@settings(max_examples=500, deadline=None)
+@given(hs.one_of(_qa_stacks(), _int_qa_stacks()), hs.floats(0.0, 100.0))
+@example((_MAX_BEHIND_INVALID, 1), 0.0)
 def test_composite_kernels_equal_reference(case, pct):
+    """Float stacks, and integer stacks sorted at their own width, give the
+    reference's f4 composites byte for byte (integers have no ±0.0)."""
     stack, qa_band = case
     sr = stack[:, :qa_band]
+    is_float = stack.dtype.kind == "f"
 
-    def same(got, want, signed_zero=False):
+    def same(got, want, signed_zero=not is_float):
         assert _bytes(got, signed_zero) == _bytes(want, signed_zero)
 
     same(st.median_composite(stack, qa_band), _ref_median_composite(stack, qa_band))
-    same(st.nanmedian_axis0(sr), _ref_nanmedian_axis0(sr))
     same(st.image_synthesis_mean(stack, qa_band),
          _ref_image_synthesis_mean(stack, qa_band), signed_zero=True)
+    if is_float:
+        same(st.nanmedian_axis0(sr), _ref_nanmedian_axis0(sr))
     if stack.shape[0] == 0:  # the reference percentile fails on an empty stack
         shape = st.median_composite(stack, qa_band).shape
         for got in (st.pixel_percentile(stack, qa_band, pct), st.nanpercentile_axis0(sr, pct)):
             assert got.shape == shape and np.isnan(got).all()
         return
     same(st.pixel_percentile(stack, qa_band, pct), _ref_pixel_percentile(stack, qa_band, pct))
-    same(st.nanpercentile_axis0(sr, pct), _ref_nanpercentile_axis0(sr, pct))
+    if is_float:
+        same(st.nanpercentile_axis0(sr, pct), _ref_nanpercentile_axis0(sr, pct))
+
+
+def _sorted_ranks(x):
+    """All ranks of ``x`` along axis 0 through the composites' sort, every
+    entry valid."""
+    take, _ = st._sort_valid(x, np.ones(x.shape, bool))
+    return take(np.arange(x.shape[0]).reshape((-1,) + (1,) * (x.ndim - 1)))
+
+
+@pytest.mark.parametrize("n", range(17))
+def test_merge_network_sorts_every_binary_column(n):
+    """The 0-1 principle: a comparator network that sorts every 0/1 input of
+    n keys sorts every input of n keys.  One column per 0/1 word of n bits."""
+    cols = ((np.arange(1 << n) >> np.arange(n)[:, None]) & 1).astype(np.uint8)
+    assert np.array_equal(_sorted_ranks(cols), np.sort(cols, axis=0))
+
+
+@pytest.mark.parametrize("n", range(17, 41))
+def test_merge_network_sorts_random_floats(n):
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(n, 3, 50)).astype(np.float32)
+    x[rng.random(x.shape) < 0.2] = 0.5      # ties
+    assert np.array_equal(_sorted_ranks(x), np.sort(x, axis=0))
+
+
+_QA_DTYPES = [np.uint8, np.uint16, np.int16, np.int32, np.float32, np.float64]
+
+
+@hs.composite
+def _qa_and_codes(draw):
+    """A QA array of any composite QA dtype and integer clear codes, some
+    outside that dtype's range; float QA adds NaN, ±inf and non-integral
+    values."""
+    dt = np.dtype(draw(hs.sampled_from(_QA_DTYPES)))
+    codes = draw(hs.lists(hs.one_of(hs.sampled_from([int(c) for c in st.LANDSAT_CLEAR_PIX_VALS]),
+                                    hs.integers(-70000, 70000)), max_size=12))
+    if dt.kind == "f":
+        special = [np.nan, np.inf, -np.inf, 672.5, -0.0, 1e10, -1e10, 2**24 + 1.0]
+        elements = hs.one_of(hs.sampled_from(np.array(special + codes, dt).tolist()),
+                             hs.floats(-1e5, 1e5, width=8 * dt.itemsize))
+    else:
+        ii = np.iinfo(dt)
+        elements = hs.one_of(hs.sampled_from([c for c in codes if ii.min <= c <= ii.max]
+                                             + [int(ii.min), int(ii.max)]),
+                             hs.integers(int(ii.min), int(ii.max)))
+    qa = draw(hnp.arrays(dt, draw(hnp.array_shapes(min_dims=1, max_dims=3, max_side=5)),
+                         elements=elements))
+    return qa, np.array(codes, np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_qa_and_codes())
+def test_clear_table_equals_isin(case):
+    qa, codes = case
+    assert np.array_equal(st._clear_codes(qa, codes), np.isin(qa, codes))
 
 
 def test_image_synthesis_mean_all_cloudy_is_silent():

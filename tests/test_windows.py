@@ -580,6 +580,18 @@ class TestQualityScorerIndexHardening:
         out = t.QualityScorer()(df)
         assert list(out["stop_ratio"]) == [0.5, 0.5]
         assert list(out["mean_word_len"]) == [3.0, 3.0]
+        assert list(out.index) == [0, 0]
+
+    def test_unique_index_round_trips(self):
+        from raster_functions_ray import textops as t
+
+        df = pd.DataFrame({"doc_id": [1, 2, 3],
+                           "text": ["the cat", "dog", "a b c"]},
+                          index=pd.Index([30, 10, 20], name="row"))
+        out = t.QualityScorer()(df)
+        assert out.index.equals(df.index) and out.index.name == "row"
+        assert list(out["doc_id"]) == [1, 2, 3]
+        assert list(out["stop_ratio"]) == [0.5, 0.0, 1 / 3]
 
 
 class TestGapFill:
