@@ -50,25 +50,25 @@ def parent(cell_id: np.ndarray) -> np.ndarray:
     return (level - 1) * LEVEL_STRIDE + (ix // 2) * IX_STRIDE + (iy // 2)
 
 
-def seed_range(xmin: float, ymin: float, xmax: float, ymax: float,
-               level: int) -> tuple[int, int, int, int]:
-    """Grid-index range [ix0, ix1] x [iy0, iy1] of cells whose rectangles
-    intersect the (closed) bbox at ``level`` — BOTH ends clamped into the
-    2^L grid (a bbox touching lat 90 / lon 360 must neither go out of grid
-    nor produce an empty range).  The ONE home of this arithmetic:
-    adaptive_covering and the convex coverer both seed from it, and the SQL
-    oracles mirror it with GREATEST/LEAST."""
+def seed_range(xmin, ymin, xmax, ymax, level: int):
+    """Grid-index ranges [ix0, ix1] x [iy0, iy1] of the cells whose
+    rectangles intersect each (closed) bbox at ``level``, elementwise over
+    arrays of bbox edges — BOTH ends clamped into the 2^L grid (a bbox
+    touching lat 90 / lon 360 must neither go out of grid nor produce an
+    empty range).  The ONE home of this arithmetic: adaptive_covering
+    seeds from it, and the SQL oracles mirror it with GREATEST/LEAST."""
     n = float(2**level)
-    hi = int(n) - 1
 
-    def cl(v: float) -> int:
-        return max(0, min(hi, int(np.floor(v))))
+    def cl(v):
+        return np.clip(np.floor(v), 0, int(n) - 1).astype(np.int64)
 
+    xmin, ymin, xmax, ymax = (np.asarray(v, np.float64)
+                              for v in (xmin, ymin, xmax, ymax))
     ix0 = cl(xmin / 360.0 * n)
-    ix1 = cl(xmax / 360.0 * n) if xmax > xmin else ix0
+    ix1 = np.where(xmax > xmin, cl(xmax / 360.0 * n), ix0)
     iy0 = cl((ymin + 90.0) / 180.0 * n)
-    iy1 = cl((ymax + 90.0) / 180.0 * n) if ymax > ymin else iy0
-    return ix0, max(ix0, ix1), iy0, max(iy0, iy1)
+    iy1 = np.where(ymax > ymin, cl((ymax + 90.0) / 180.0 * n), iy0)
+    return ix0, np.maximum(ix0, ix1), iy0, np.maximum(iy0, iy1)
 
 
 def neighbors(cell_id: int, ring: int = 1) -> np.ndarray:
@@ -86,59 +86,52 @@ def neighbors(cell_id: int, ring: int = 1) -> np.ndarray:
 
 
 def adaptive_covering(bboxes: np.ndarray, level_min: int = 3,
-                      level_max: int = 6):
-    """S2-RegionCoverer-style adaptive multi-level covering of closed
-    bboxes: cells fully inside the bbox are emitted at the coarsest level
-    where that holds; boundary cells subdivide until ``level_max``, where
-    every still-intersecting cell is emitted as a partial cell.
+                      level_max: int = 6, inside=None):
+    """S2-RegionCoverer-style adaptive multi-level covering of zones: cells
+    for which ``inside(z, x0, y0, x1, y1)`` holds (and that meet the zone's
+    closed bbox) are emitted full at the coarsest level where that holds;
+    boundary cells subdivide until ``level_max``, where every cell still
+    intersecting the bbox is emitted, full or partial.  ``inside``
+    defaults to the closed bbox; spatial.convex_inside tests the four
+    corners against convex rings.
 
     Fully vectorized ACROSS zones: one (zone, ix, iy) frontier array per
     level, classified with the same IEEE-double predicates the DuckDB
-    recursive-CTE oracle evaluates (cell edges ``ix*(360/2^L)`` are exact
+    recursive-CTE oracles evaluate (cell edges ``ix*(360/2^L)`` are exact
     binary fractions, so equality cases agree bit-for-bit).
 
     Returns (zone_idx, level, ix, iy, full) int64/bool arrays.
     """
     bboxes = np.asarray(bboxes, dtype=np.float64).reshape(-1, 4)
+    ix0, ix1, iy0, iy1 = seed_range(*bboxes.T, level_min)
+    ny = iy1 - iy0 + 1
+    cnt = (ix1 - ix0 + 1) * ny
+    z = np.repeat(np.arange(len(bboxes)), cnt)
+    j = np.arange(z.size) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+    ix = ix0[z] + j // ny[z]
+    iy = iy0[z] + j % ny[z]
     out = {k: [] for k in ("z", "lv", "ix", "iy", "full")}
-    seeds_z, seeds_ix, seeds_iy = [], [], []
-    for i, (xmin, ymin, xmax, ymax) in enumerate(bboxes):
-        ix0, ix1, iy0, iy1 = seed_range(xmin, ymin, xmax, ymax, level_min)
-        gx, gy = np.meshgrid(np.arange(ix0, ix1 + 1, dtype=np.int64),
-                             np.arange(iy0, iy1 + 1, dtype=np.int64),
-                             indexing="ij")
-        seeds_z.append(np.full(gx.size, i, dtype=np.int64))
-        seeds_ix.append(gx.ravel())
-        seeds_iy.append(gy.ravel())
-    if not seeds_z:
-        e = np.empty(0, np.int64)
-        return e, e, e, e, np.empty(0, bool)
-    z = np.concatenate(seeds_z)
-    ix = np.concatenate(seeds_ix)
-    iy = np.concatenate(seeds_iy)
     for level in range(level_min, level_max + 1):
         w = 360.0 / (2.0**level)
         h = 180.0 / (2.0**level)
         x0, x1 = ix * w, (ix + 1) * w
         y0, y1 = iy * h - 90.0, (iy + 1) * h - 90.0
-        xmin, ymin = bboxes[z, 0], bboxes[z, 1]
-        xmax, ymax = bboxes[z, 2], bboxes[z, 3]
-        inside = (x0 >= xmin) & (x1 <= xmax) & (y0 >= ymin) & (y1 <= ymax)
-        inter = (x0 <= xmax) & (x1 >= xmin) & (y0 <= ymax) & (y1 >= ymin)
-        emit = inter if level == level_max else inside
+        b = bboxes[z]
+        inter = (x0 <= b[:, 2]) & (x1 >= b[:, 0]) & (y0 <= b[:, 3]) & (y1 >= b[:, 1])
+        full = inter & (inside(z, x0, y0, x1, y1) if inside else
+                        (x0 >= b[:, 0]) & (x1 <= b[:, 2]) & (y0 >= b[:, 1]) & (y1 <= b[:, 3]))
+        emit = inter if level == level_max else full
         out["z"].append(z[emit])
         out["lv"].append(np.full(int(emit.sum()), level, dtype=np.int64))
         out["ix"].append(ix[emit])
         out["iy"].append(iy[emit])
-        out["full"].append(inside[emit])
+        out["full"].append(full[emit])
         if level == level_max:
             break
-        sub = inter & ~inside
+        sub = inter & ~full
         z = np.repeat(z[sub], 4)
         dx = np.tile(np.array([0, 0, 1, 1], dtype=np.int64), int(sub.sum()))
         dy = np.tile(np.array([0, 1, 0, 1], dtype=np.int64), int(sub.sum()))
         ix = np.repeat(ix[sub] * 2, 4) + dx
         iy = np.repeat(iy[sub] * 2, 4) + dy
-    return (np.concatenate(out["z"]), np.concatenate(out["lv"]),
-            np.concatenate(out["ix"]), np.concatenate(out["iy"]),
-            np.concatenate(out["full"]))
+    return tuple(np.concatenate(out[k]) for k in ("z", "lv", "ix", "iy", "full"))

@@ -104,24 +104,17 @@ def q_median_composite_stats(sf_dir: str) -> pd.DataFrame:
     return df.sort_values("tile_id").reset_index(drop=True)
 
 
-def prep_zones(zones: pd.DataFrame) -> list[tuple]:
-    """One-time conversion of the zone table into plain (zone_id, bbox,
-    is_rect, vertices) numpy tuples, zone_id-ordered — hoisted out of the
-    per-tile burn loop (pandas iterrows per tile dominated the burn)."""
-    out = []
-    for _, zr in zones.sort_values("zone_id").iterrows():
-        out.append((int(zr["zone_id"]), np.asarray(zr["bbox"], np.float64),
-                    bool(zr["is_rect"]), np.asarray(zr["vertices"], np.float64)))
-    return out
-
-
-def burn_zone_raster(pix_shape, ext, p: synth.SynthParams, zlist: list[tuple]) -> np.ndarray:
+def burn_zone_raster(pix_shape, ext, p: synth.SynthParams, zone_id: np.ndarray,
+                     geo: list) -> np.ndarray:
     """Vector→raster burn-in: per-pixel zone id from the zone polygons
-    (candidates bbox-filtered; higher zone_id wins on overlap).
-    ``zlist`` comes from prep_zones (built once per batch, not per tile).
+    (candidates bbox-filtered per tile, then spatial.zone_contains; higher
+    zone_id wins on overlap).  ``zone_id`` and ``geo`` are spatial.zone_index's,
+    over the zones in zone_id order, built once on the driver.
 
     The engine side of functions/deprecated/RasterizeAttributes.py:135-169.
     """
+    from .spatial import zone_contains
+
     h, w = pix_shape
     xs = np.linspace(ext[0], ext[2], w, endpoint=False) + (ext[2] - ext[0]) / (2 * w)
     ys = np.linspace(ext[1], ext[3], h, endpoint=False) + (ext[3] - ext[1]) / (2 * h)
@@ -129,16 +122,11 @@ def burn_zone_raster(pix_shape, ext, p: synth.SynthParams, zlist: list[tuple]) -
     tlon = (ext[0] / p.world_w * 360.0, ext[2] / p.world_w * 360.0)
     tlat = (ext[1] / p.world_h * 180.0 - 90.0, ext[3] / p.world_h * 180.0 - 90.0)
     z = np.zeros((h, w), dtype=np.int32)
-    from .spatial import point_in_convex_batch
-    for zone_id, bb, is_rect, verts in zlist:
+    for zid, g in zip(zone_id, geo):
+        bb = g[1]
         if bb[2] < tlon[0] or bb[0] > tlon[1] or bb[3] < tlat[0] or bb[1] > tlat[1]:
             continue
-        if is_rect:
-            hit = (lon >= bb[0]) & (lon < bb[2]) & (lat >= bb[1]) & (lat < bb[3])
-        else:
-            hit = point_in_convex_batch(lon.ravel(), lat.ravel(),
-                                        verts).reshape(h, w)
-        z[hit] = zone_id
+        z[zone_contains(g, lon, lat)] = zid
     return z
 
 
@@ -160,19 +148,21 @@ def q_zonal_remap_counts(sf_dir: str) -> pd.DataFrame:
                                  attrib_list=["zmin", "zmax", "zval"])
     zt_map = {(int(k) if k is not None else k): [list(t) for t in v]
               for k, v in svc.query(id_list=zones["zone_id"].tolist()).items()}
-    zones_ref = ray.put((zones, zt_map))
+    from .spatial import zone_index
+
+    _, _, _, zone_id, geo = zone_index(zones.sort_values("zone_id"))
+    zones_ref = ray.put((zone_id, geo, zt_map))
     tiles = read_tiles(d, bands=1)
 
     def kernel_batch(b: pa.Table) -> pd.DataFrame:
-        zdf, ztm = ray.get(zones_ref)
-        zlist = prep_zones(zdf)  # once per batch, not per tile
+        zid, zgeo, ztm = ray.get(zones_ref)
         from . import tilecodec
         recs = []
         tid = b["tile_id"].to_pylist()
         exts = b["extent"].to_pylist()
         for i, pix, msk in tilecodec.iter_tiles(b):
             dem = pix if pix.ndim == 2 else pix[0]
-            zr = burn_zone_raster(dem.shape, exts[i], p, zlist)
+            zr = burn_zone_raster(dem.shape, exts[i], p, zid, zgeo)
             out = rm.zonal_remap(dem, zr, ztm, background=0, default_target=255)
             vals, cnts = np.unique(out, return_counts=True)
             for v, n in zip(vals, cnts):

@@ -84,15 +84,15 @@ N_RECT_ZONES = 8
 
 
 def rect_zones() -> pd.DataFrame:
-    """Deterministic rectangle zones (closed-form; duplicated in SQL)."""
+    """Deterministic rectangle zones (closed-form; duplicated in SQL) as a
+    zone_index frame: zone_id, is_rect, bbox and CCW vertices."""
     z = np.arange(N_RECT_ZONES, dtype=np.int64)
-    return pd.DataFrame({
-        "zone_id": z,
-        "xmin": (z * 41 % 300).astype(np.float64),
-        "xmax": (z * 41 % 300).astype(np.float64) + 60.0,
-        "ymin": (z * 23 % 120).astype(np.float64) - 85.0,
-        "ymax": (z * 23 % 120).astype(np.float64) - 85.0 + 45.0,
-    })
+    x0 = (z * 41 % 300).astype(np.float64)
+    y0 = (z * 23 % 120).astype(np.float64) - 85.0
+    x1, y1 = x0 + 60.0, y0 + 45.0
+    return pd.DataFrame({"zone_id": z, "is_rect": True,
+                         "bbox": list(np.c_[x0, y0, x1, y1]),
+                         "vertices": list(np.c_[x0, y0, x1, y0, x1, y1, x0, y1])})
 
 
 RECT_ZONES_SQL = f"""
@@ -105,36 +105,29 @@ RECT_ZONES_SQL = f"""
 """
 
 
-def points_in_rects_batch(b: pa.Table, zones: pd.DataFrame) -> pa.Table:
-    """Vectorized point × rect containment (half-open [min, max))."""
-    x = np.asarray(b["x"])
-    y = np.asarray(b["y"])
-    eids = np.asarray(b["event_id"], dtype=np.int64)
-    vals = np.asarray(b["value"]) if "value" in b.column_names else None
-    out_e, out_z, out_v = [], [], []
-    for _, zr in zones.iterrows():
-        hit = (x >= zr["xmin"]) & (x < zr["xmax"]) & (y >= zr["ymin"]) & (y < zr["ymax"])
-        idx = np.nonzero(hit)[0]
-        out_e.append(eids[idx])
-        out_z.append(np.full(idx.size, int(zr["zone_id"]), np.int64))
-        if vals is not None:
-            out_v.append(vals[idx])
-    cols = {"event_id": pa.array(np.concatenate(out_e) if out_e else np.empty(0, np.int64)),
-            "zone_id": pa.array(np.concatenate(out_z) if out_z else np.empty(0, np.int64))}
-    if vals is not None:
-        cols["value"] = pa.array(np.concatenate(out_v) if out_v else np.empty(0, np.float64))
-    return pa.table(cols)
+def events_in_zones(pts: rd.Dataset, zones: pd.DataFrame) -> rd.Dataset:
+    """Event points -> (event_id, zone_id[, value]) for every zone that
+    contains them: the zone index is built on the driver and broadcast
+    once; each batch attaches it with zone_hits."""
+    iref = ray.put(zone_index(zones))
+
+    def attach(b: pa.Table) -> pa.Table:
+        pt, zid = zone_hits(ray.get(iref), np.asarray(b["x"]), np.asarray(b["y"]))
+        take = pa.array(pt)
+        out = {"event_id": b["event_id"].take(take),
+               "zone_id": pa.array(zid.astype(np.int64))}
+        if "value" in b.column_names:
+            out["value"] = b["value"].take(take)
+        return pa.table(out)
+
+    return pts.map_batches(attach, batch_format="pyarrow")
 
 
 def q_pip_rect(sf_dir: str) -> pd.DataFrame:
-    """Point-in-rectangle join row set (broadcast zones, map-side containment).
-    Exact join-output gate: every (event, zone) pair."""
-    zones = rect_zones()
-    zref = ray.put(zones)
-    pts = event_points(sf_dir, with_value=False)
-    out = pts.map_batches(lambda b: points_in_rects_batch(b, ray.get(zref)),
-                          batch_format="pyarrow")
-    return out.to_pandas()
+    """Point-in-rectangle join row set (broadcast zone index, map-side
+    containment).  Exact join-output gate: every (event, zone) pair."""
+    return events_in_zones(event_points(sf_dir, with_value=False),
+                           rect_zones()).to_pandas()
 
 
 Q_PIP_RECT_SQL = f"""
@@ -148,11 +141,8 @@ FROM pts p JOIN zones z
 def q_zonal_value(sf_dir: str) -> pd.DataFrame:
     """Zonal aggregate: per-zone count and value sum of contained points —
     the raster-to-vector zonal-extraction shape over the point cloud."""
-    zones = rect_zones()
-    zref = ray.put(zones)
-    pts = event_points(sf_dir, with_value=True)
-    joined = pts.map_batches(lambda b: points_in_rects_batch(b, ray.get(zref)),
-                             batch_format="pyarrow")
+    joined = events_in_zones(event_points(sf_dir, with_value=True),
+                             rect_zones())
 
     def partial(b: pa.Table) -> pd.DataFrame:
         df = b.to_pandas()
@@ -385,6 +375,36 @@ def point_in_convex_batch(x: np.ndarray, y: np.ndarray, verts: np.ndarray,
 CONVEX_FULL_EPS = 1e-6
 
 
+def convex_inside(verts_list):
+    """grid.adaptive_covering's ``inside`` predicate for CCW convex rings:
+    all four corners of the cell clear every edge of its zone's ring by
+    CONVEX_FULL_EPS (convexity makes corner containment cell containment),
+    in point_in_convex_batch's IEEE operation order.  The rings are padded
+    into one (zones, max vertices) array and the padded edges masked out
+    (a repeated vertex would make a zero-length edge whose cross product,
+    0, never clears the margin)."""
+    nv = np.asarray([len(v) // 2 for v in verts_list], dtype=np.int64)
+    real = np.arange(nv.max(initial=0)) < nv[:, None]
+    flat = np.concatenate([np.asarray(v, np.float64) for v in verts_list]
+                          + [np.empty(0)])
+    vx, vy = np.zeros(real.shape), np.zeros(real.shape)
+    vx[real], vy[real] = flat[0::2], flat[1::2]
+    nxt = (np.arange(real.shape[1]) + 1) % np.maximum(nv, 1)[:, None]
+    rows = np.arange(len(nv))[:, None]
+    ex, ey = vx[rows, nxt] - vx, vy[rows, nxt] - vy
+
+    def inside(z, x0, y0, x1, y1):
+        ok = np.ones(z.shape, dtype=bool)
+        for i in range(real.shape[1]):
+            ax, ay, dx, dy = vx[z, i], vy[z, i], ex[z, i], ey[z, i]
+            pad = ~real[z, i]
+            for cx, cy in ((x0, y0), (x1, y0), (x0, y1), (x1, y1)):
+                ok &= pad | (dx * (cy - ay) - dy * (cx - ax) >= CONVEX_FULL_EPS)
+        return ok
+
+    return inside
+
+
 def wkt_parse_points(texts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Parse 'POINT (x y)' rows; returns (idx, x, y) of the point rows.
 
@@ -413,16 +433,18 @@ def zone_index(zones: pd.DataFrame) -> tuple:
     """Every zone's CELL_LEVEL covering as one cell-sorted array — the
     Raster Intervals layout (each zone a run of cells marked full or
     partial).  Rect zones go in through their stored CCW vertices, so one
-    coverer marks both kinds: a cell is full only when all four corners
-    clear every edge by CONVEX_FULL_EPS, and a rounding mismatch between
-    grid.cell_encode and the cell bounds can only make a cell partial.
+    coverer (grid.adaptive_covering under convex_inside) marks both kinds:
+    a cell is full only when all four corners clear every edge by
+    CONVEX_FULL_EPS, and a rounding mismatch between grid.cell_encode and
+    the cell bounds can only make a cell partial.
 
     Returns (cell, zone, full, zone_id, geo): the sorted covering cell
     ids, each cell's zone position and full flag, the zone ids (int32),
-    and per zone (is_rect, bbox, vertices) for the exact test."""
-    z, _, ix, iy, full = adaptive_covering_convex(
-        range(len(zones)), list(zones["bbox"]), list(zones["vertices"]),
-        CELL_LEVEL, CELL_LEVEL)
+    and per zone (is_rect, bbox, vertices) for the exact test, in the
+    frame's row order."""
+    z, _, ix, iy, full = grid.adaptive_covering(
+        list(zones["bbox"]), CELL_LEVEL, CELL_LEVEL,
+        convex_inside(list(zones["vertices"])))
     cell = CELL_LEVEL * grid.LEVEL_STRIDE + ix * grid.IX_STRIDE + iy
     order = np.argsort(cell, kind="stable")
     geo = [(bool(r), np.asarray(bb, np.float64), np.asarray(v, np.float64))
@@ -440,13 +462,12 @@ def zone_contains(geo: tuple, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return point_in_convex_batch(x, y, verts)
 
 
-def points_in_zones_batch(b: pa.Table, index: tuple) -> pa.Table:
-    """Text spans of one batch -> (doc_id, zone_id) for every POINT in a
-    zone: one searchsorted of the point cells against ``index``
-    (zone_index), np.repeat into (point, zone) candidate pairs, full
-    pairs kept untested and partial pairs refined per zone."""
+def zone_hits(index: tuple, x: np.ndarray, y: np.ndarray):
+    """(point, zone_id) of every zone containing each point: one
+    searchsorted of the point cells against ``index`` (zone_index),
+    np.repeat into candidate pairs, full pairs kept untested and partial
+    pairs refined per zone with zone_contains."""
     cell, zone, full, zone_id, geo = index
-    pidx, x, y = wkt_parse_points(b["text"])
     pcell = grid.cell_encode(x, y, CELL_LEVEL)
     lo = np.searchsorted(cell, pcell, "left")
     n = np.searchsorted(cell, pcell, "right") - lo
@@ -459,9 +480,17 @@ def points_in_zones_batch(b: pa.Table, index: tuple) -> pa.Table:
     for grp in np.split(part, np.flatnonzero(np.diff(zi[part])) + 1):
         if grp.size:
             keep[grp] = zone_contains(geo[zi[grp[0]]], x[pt[grp]], y[pt[grp]])
+    return pt[keep], zone_id[zi[keep]]
+
+
+def points_in_zones_batch(b: pa.Table, index: tuple) -> pa.Table:
+    """Text spans of one batch -> (doc_id, zone_id) for every POINT in a
+    zone (wkt_parse_points, then zone_hits)."""
+    pidx, x, y = wkt_parse_points(b["text"])
+    pt, zid = zone_hits(index, x, y)
     return pa.table({
-        "doc_id": b["doc_id"].take(pa.array(pidx[pt[keep]])).cast(pa.string()),
-        "zone_id": pa.array(zone_id[zi[keep]], pa.int32())})
+        "doc_id": b["doc_id"].take(pa.array(pidx[pt])).cast(pa.string()),
+        "zone_id": pa.array(zid, pa.int32())})
 
 
 def doc_points_in_zones(docs: rd.Dataset, zones: pd.DataFrame) -> rd.Dataset:
@@ -483,11 +512,8 @@ def q_zonal_value_salted(sf_dir: str) -> pd.DataFrame:
     proving salting preserves exact aggregates."""
     from .stages.salt import salted_aggregates
 
-    zones = rect_zones()
-    zref = ray.put(zones)
-    pts = event_points(sf_dir, with_value=True)
-    joined = pts.map_batches(lambda b: points_in_rects_batch(b, ray.get(zref)),
-                             batch_format="pyarrow").materialize()
+    joined = events_in_zones(event_points(sf_dir, with_value=True),
+                             rect_zones()).materialize()
     # materialized + single multi-aggregate call: one hot-key detect pass
     # and one (key,salt) partial pass compute sum AND count together
     out = salted_aggregates(joined, "zone_id", "value", ["sum", "count"],
@@ -649,44 +675,44 @@ def q_knn_cell_ring(sf_dir: str) -> pd.DataFrame:
 ADAPT_LMIN, ADAPT_LMAX = 3, 6
 
 
-def q_adaptive_cover(sf_dir: str) -> pd.DataFrame:
-    """S2-RegionCoverer-style adaptive covering of every rectangular zone:
-    interior cells emitted at the coarsest level where they are fully
-    inside, boundary cells refined down to level {ADAPT_LMAX} — the
-    mixed-level cell set a hierarchical spatial index hands to a
-    cell-keyed shuffle join (coarse cells prune whole subtrees, fine
-    cells bound the exact-test work to the boundary).
-
-    Scale shape: zones stream through one map_batches; the per-level BFS
-    inside the kernel is vectorized ACROSS all zones in the batch
+def _adaptive_cover(sf_dir: str, convex: bool) -> pd.DataFrame:
+    """Adaptive covering of the rect (``convex`` False) or convex zones:
+    zones stream through one map_batches; the per-level BFS inside the
+    kernel is vectorized ACROSS all zones in the batch
     (grid.adaptive_covering), so cost is O(output cells), not
-    O(zones × levels) Python.  Oracle: DuckDB recursive CTE subdividing
-    with the identical IEEE predicates."""
+    O(zones × levels) Python."""
     from . import synth
-    from .grid import IX_STRIDE, LEVEL_STRIDE, adaptive_covering
     from .sources import read_zones
 
     d = synth.synth_dir_for(sf_dir)
 
     def cover(b: pa.Table) -> pa.Table:
         df = b.to_pandas()
-        df = df[df["is_rect"]]
-        if df.empty:
-            return pa.table({"zone_id": pa.array([], pa.int64()),
-                             "level": pa.array([], pa.int64()),
-                             "cell_id": pa.array([], pa.int64()),
-                             "is_full": pa.array([], pa.bool_())})
-        bb = np.stack(df["bbox"].to_numpy())
-        z, lv, ix, iy, full = adaptive_covering(bb, ADAPT_LMIN, ADAPT_LMAX)
+        df = df[df["is_rect"] != convex]
+        inside = convex_inside(list(df["vertices"])) if convex else None
+        z, lv, ix, iy, full = grid.adaptive_covering(
+            list(df["bbox"]), ADAPT_LMIN, ADAPT_LMAX, inside)
         return pa.table({
             "zone_id": pa.array(df["zone_id"].to_numpy(np.int64)[z]),
             "level": pa.array(lv),
-            "cell_id": pa.array(lv * LEVEL_STRIDE + ix * IX_STRIDE + iy),
+            "cell_id": pa.array(lv * grid.LEVEL_STRIDE + ix * grid.IX_STRIDE + iy),
             "is_full": pa.array(full)})
 
     out = (read_zones(d).map_batches(cover, batch_format="pyarrow",
                                      batch_size=4096).to_pandas())
     return out.sort_values(["zone_id", "cell_id"]).reset_index(drop=True)
+
+
+def q_adaptive_cover(sf_dir: str) -> pd.DataFrame:
+    """S2-RegionCoverer-style adaptive covering of every rectangular zone:
+    interior cells emitted at the coarsest level where they are fully
+    inside the closed bbox (grid.adaptive_covering's default predicate),
+    boundary cells refined down to level {ADAPT_LMAX} — the mixed-level
+    cell set a hierarchical spatial index hands to a cell-keyed shuffle
+    join (coarse cells prune whole subtrees, fine cells bound the
+    exact-test work to the boundary).  Oracle: DuckDB recursive CTE
+    subdividing with the identical IEEE predicates."""
+    return _adaptive_cover(sf_dir, convex=False)
 
 
 def adaptive_cover_oracle_sql(sf: float = 0.01) -> str:
@@ -744,96 +770,16 @@ ORDER BY zone_id, cell_id
 """
 
 
-def adaptive_covering_convex(zone_ids, bboxes, verts_list,
-                             level_min: int = ADAPT_LMIN,
-                             level_max: int = ADAPT_LMAX):
-    """Adaptive multi-level covering of CONVEX polygons: a cell is emitted
-    full at the coarsest level where ALL FOUR of its corners pass the
-    point_in_convex_batch test (convexity makes corner containment
-    equivalent to cell containment); refinement cells use the conservative
-    closed-bbox intersection predicate — over-approximate but IDENTICAL to
-    the oracle's, so the gate is exact.
-
-    Per-zone BFS (zones are the small side); within a zone every level's
-    frontier classifies all cells at once (4 vectorized corner tests)."""
-    from .grid import seed_range
-
-    out = {k: [] for k in ("z", "lv", "ix", "iy", "full")}
-    for zid, bb, verts in zip(zone_ids, bboxes, verts_list):
-        xmin, ymin, xmax, ymax = (float(v) for v in bb)
-        v = np.asarray(verts, dtype=np.float64)
-        ix0, ix1, iy0, iy1 = seed_range(xmin, ymin, xmax, ymax, level_min)
-        gx, gy = np.meshgrid(np.arange(ix0, ix1 + 1, dtype=np.int64),
-                             np.arange(iy0, iy1 + 1, dtype=np.int64),
-                             indexing="ij")
-        ix, iy = gx.ravel(), gy.ravel()
-        for level in range(level_min, level_max + 1):
-            w = 360.0 / (2.0**level)
-            h = 180.0 / (2.0**level)
-            x0, x1 = ix * w, (ix + 1) * w
-            y0, y1 = iy * h - 90.0, (iy + 1) * h - 90.0
-            inside = (point_in_convex_batch(x0, y0, v, CONVEX_FULL_EPS)
-                      & point_in_convex_batch(x1, y0, v, CONVEX_FULL_EPS)
-                      & point_in_convex_batch(x0, y1, v, CONVEX_FULL_EPS)
-                      & point_in_convex_batch(x1, y1, v, CONVEX_FULL_EPS))
-            inter = (x0 <= xmax) & (x1 >= xmin) & (y0 <= ymax) & (y1 >= ymin)
-            emit = inter if level == level_max else (inside & inter)
-            k = int(emit.sum())
-            out["z"].append(np.full(k, zid, dtype=np.int64))
-            out["lv"].append(np.full(k, level, dtype=np.int64))
-            out["ix"].append(ix[emit])
-            out["iy"].append(iy[emit])
-            out["full"].append(inside[emit])
-            if level == level_max:
-                break
-            sub = inter & ~inside
-            k = int(sub.sum())
-            ix = np.repeat(ix[sub] * 2, 4) + np.tile(
-                np.array([0, 0, 1, 1], dtype=np.int64), k)
-            iy = np.repeat(iy[sub] * 2, 4) + np.tile(
-                np.array([0, 1, 0, 1], dtype=np.int64), k)
-    if not out["z"]:
-        e = np.empty(0, np.int64)
-        return e, e, e, e, np.empty(0, bool)
-    return (np.concatenate(out["z"]), np.concatenate(out["lv"]),
-            np.concatenate(out["ix"]), np.concatenate(out["iy"]),
-            np.concatenate(out["full"]))
-
-
 def q_adaptive_cover_convex(sf_dir: str) -> pd.DataFrame:
     """Adaptive covering of the CONVEX zones (the non-rectangular
-    complement of q_adaptive_cover): interior cells full at the coarsest
-    level where all four corners pass the exact convex containment test,
-    boundary refined to level {ADAPT_LMAX} under the conservative bbox
-    predicate.  Oracle: recursive CTE whose corner tests are the SAME
+    complement of q_adaptive_cover), through the same coverer under the
+    convex_inside predicate: interior cells full at the coarsest level
+    where all four corners clear every edge by CONVEX_FULL_EPS, boundary
+    refined to level {ADAPT_LMAX} under the conservative closed-bbox
+    intersection.  Oracle: recursive CTE whose corner tests are the SAME
     list-lambda cross-product expression as the doc↔zone join oracle —
     bit-identical IEEE ops."""
-    from . import synth
-    from .grid import IX_STRIDE, LEVEL_STRIDE
-    from .sources import read_zones
-
-    d = synth.synth_dir_for(sf_dir)
-
-    def cover(b: pa.Table) -> pa.Table:
-        df = b.to_pandas()
-        df = df[~df["is_rect"]]
-        if df.empty:
-            return pa.table({"zone_id": pa.array([], pa.int64()),
-                             "level": pa.array([], pa.int64()),
-                             "cell_id": pa.array([], pa.int64()),
-                             "is_full": pa.array([], pa.bool_())})
-        z, lv, ix, iy, full = adaptive_covering_convex(
-            df["zone_id"].to_numpy(np.int64),
-            list(df["bbox"]), list(df["vertices"]))
-        return pa.table({
-            "zone_id": pa.array(z),
-            "level": pa.array(lv),
-            "cell_id": pa.array(lv * LEVEL_STRIDE + ix * IX_STRIDE + iy),
-            "is_full": pa.array(full)})
-
-    out = (read_zones(d).map_batches(cover, batch_format="pyarrow",
-                                     batch_size=4096).to_pandas())
-    return out.sort_values(["zone_id", "cell_id"]).reset_index(drop=True)
+    return _adaptive_cover(sf_dir, convex=True)
 
 
 def _sql_corner_inside(cx: str, cy: str, eps: str = "0") -> str:
@@ -2213,10 +2159,6 @@ def dbscan_dataset(sf_dir: str) -> rd.Dataset:
     Skewed cells are bounded by density (eps-sized pitch ⇒ O(mean
     degree) points per cell in expectation); a pile-up would use the
     density-adapted split levels of q_rect_overlap_join_split."""
-    from ray.data.aggregate import Min
-
-    from . import regions, trainprep
-
     ds = read_table(sf_dir, "events", columns=["event_id"])
     n = ds.count()
     e2, cell = _dbscan_geometry(n)
@@ -2282,7 +2224,21 @@ def dbscan_dataset(sf_dir: str) -> rd.Dataset:
              .map_batches(form, batch_format="pyarrow")
              .materialize())
 
-    # neighbor degrees: unique-count partials → ONE groupby-Sum
+    return _dbscan_label(ds, pairs, DBSCAN_MINPTS)
+
+
+def _dbscan_label(ds: rd.Dataset, pairs: rd.Dataset, minpts: int) -> rd.Dataset:
+    """The labelling tail shared by DBSCAN and ST-DBSCAN, from the
+    materialized (a < b) neighbor ``pairs``: degrees from unique-count
+    partials through one groupby-Sum, cores (≥ ``minpts`` with self),
+    core-core components through the CC_DRIVER_MAX_EDGES size dispatch
+    (driver union-find / distributed min-label), isolated cores labelling
+    themselves, border labels through one edge-sized groupby-Min, then the
+    per-event role/cluster attach over ``ds`` inside map_batches."""
+    from ray.data.aggregate import Min
+
+    from . import regions, trainprep
+
     def deg_partial(b: pa.Table) -> pa.Table:
         ids = np.concatenate([np.asarray(b["a"], np.int64),
                               np.asarray(b["b"], np.int64)])
@@ -2293,7 +2249,7 @@ def dbscan_dataset(sf_dir: str) -> rd.Dataset:
     deg = (pairs.map_batches(deg_partial, batch_format="pyarrow")
            .groupby("id").aggregate(Sum("c", alias_name="deg"))
            .to_pandas())
-    core_ids = np.sort(deg.loc[deg["deg"] >= DBSCAN_MINPTS - 1, "id"]
+    core_ids = np.sort(deg.loc[deg["deg"] >= minpts - 1, "id"]
                        .to_numpy(np.int64))
     core_ref = ray.put(core_ids)
 
@@ -2339,25 +2295,17 @@ def dbscan_dataset(sf_dir: str) -> rd.Dataset:
             .groupby("id").aggregate(Min("lbl", alias_name="lbl"))
             .to_pandas())
 
-    return _attach_dbscan_roles(ds, core_ids, lbl_ids, lbl_vals, bord)
-
-
-def _attach_dbscan_roles(ds, core_ids, lbl_ids, lbl_vals,
-                         bord: pd.DataFrame):
-    """Streamed DBSCAN role/cluster attach: the (output-sized) core-id,
-    cluster-label and border tables broadcast ONCE via ray.put, with the
-    per-event role/cluster assignment running inside map_batches — the
-    corpus never materializes on the driver before the result; the only
-    driver-side frame is the labeled output itself."""
-    import ray
-
+    # streamed role/cluster attach: the output-sized core-id, label and
+    # border tables broadcast once; only the labeled result reaches the driver
     b_ids = np.sort(bord["id"].to_numpy(np.int64))
     b_lbl = bord.set_index("id").loc[b_ids, "lbl"].to_numpy(np.int64) \
         if len(bord) else np.empty(0, np.int64)
-    ref = ray.put((core_ids, lbl_ids, lbl_vals, b_ids, b_lbl))
+    bord_ref = ray.put((b_ids, b_lbl))
 
     def attach(b: pa.Table) -> pa.Table:
-        cs, li, lv, bi, bl = ray.get(ref)
+        cs = ray.get(core_ref)
+        li, lv = ray.get(lab_ref)
+        bi, bl = ray.get(bord_ref)
         eids = np.asarray(b["event_id"], np.int64)
         is_core = _in_sorted(cs, eids)
         is_bord = _in_sorted(bi, eids)

@@ -1769,13 +1769,10 @@ def st_dbscan_dataset(sf_dir: str):
     cell-keyed hash join is exactly-once); degrees via unique-count
     partials → groupby-Sum; components size-dispatched (driver
     union-find / distributed min-label); border labels via one
-    edge-sized groupby-Min.  Broadcast sets are output-sized."""
-    import ray
-    from ray.data.aggregate import Min, Sum
-
-    from . import regions, trainprep
+    edge-sized groupby-Min (spatial._dbscan_label, the tail shared with
+    q_dbscan).  Broadcast sets are output-sized."""
     from .sources import join_partitions
-    from .spatial import _in_sorted
+    from .spatial import _dbscan_label
 
     ds = read_table(sf_dir, "events", columns=["event_id", "ts"])
     n = ds.count()
@@ -1843,62 +1840,7 @@ def st_dbscan_dataset(sf_dir: str):
              .map_batches(form, batch_format="pyarrow")
              .materialize())
 
-    def deg_partial(b: pa.Table) -> pa.Table:
-        ids = np.concatenate([np.asarray(b["a"], np.int64),
-                              np.asarray(b["b"], np.int64)])
-        u, c = np.unique(ids, return_counts=True)
-        return pa.table({"id": pa.array(u),
-                         "c": pa.array(c.astype(np.int64))})
-
-    deg = (pairs.map_batches(deg_partial, batch_format="pyarrow")
-           .groupby("id").aggregate(Sum("c", alias_name="deg"))
-           .to_pandas())
-    core_ids = np.sort(deg.loc[deg["deg"] >= STDB_MINPTS - 1, "id"]
-                       .to_numpy(np.int64))
-    core_ref = ray.put(core_ids)
-
-    def core_edges(b: pa.Table) -> pa.Table:
-        cs = ray.get(core_ref)
-        a = np.asarray(b["a"], np.int64)
-        bb = np.asarray(b["b"], np.int64)
-        keep = _in_sorted(cs, a) & _in_sorted(cs, bb)
-        return pa.table({"u": pa.array(a[keep]), "v": pa.array(bb[keep])})
-
-    ce = pairs.map_batches(core_edges, batch_format="pyarrow").materialize()
-    if ce.count() <= regions.CC_DRIVER_MAX_EDGES:
-        edf = ce.to_pandas()
-        labels = regions.union_find_labels(edf["u"].to_numpy(np.int64),
-                                           edf["v"].to_numpy(np.int64))
-    else:  # pragma: no cover — the dbscan forced-dispatch pytest covers it
-        labels = trainprep.connected_components(ce)
-    lbl_ids = labels["node"].to_numpy(np.int64)
-    lbl_vals = labels["label"].to_numpy(np.int64)
-    missing = np.setdiff1d(core_ids, lbl_ids)
-    lbl_ids = np.concatenate([lbl_ids, missing])
-    lbl_vals = np.concatenate([lbl_vals, missing])
-    order = np.argsort(lbl_ids)
-    lbl_ids, lbl_vals = lbl_ids[order], lbl_vals[order]
-    lab_ref = ray.put((lbl_ids, lbl_vals))
-
-    def mixed(b: pa.Table) -> pa.Table:
-        cs = ray.get(core_ref)
-        li, lv = ray.get(lab_ref)
-        a = np.asarray(b["a"], np.int64)
-        bb = np.asarray(b["b"], np.int64)
-        ac, bc = _in_sorted(cs, a), _in_sorted(cs, bb)
-        m1 = ac & ~bc
-        m2 = bc & ~ac
-        nid = np.concatenate([bb[m1], a[m2]])
-        cid = np.concatenate([a[m1], bb[m2]])
-        lbl = lv[np.searchsorted(li, cid)] if cid.size else cid
-        return pa.table({"id": pa.array(nid), "lbl": pa.array(lbl)})
-
-    bord = (pairs.map_batches(mixed, batch_format="pyarrow")
-            .groupby("id").aggregate(Min("lbl", alias_name="lbl"))
-            .to_pandas())
-
-    from .spatial import _attach_dbscan_roles
-    return _attach_dbscan_roles(ds, core_ids, lbl_ids, lbl_vals, bord)
+    return _dbscan_label(ds, pairs, STDB_MINPTS)
 
 
 def st_dbscan_oracle_sql(sf: float = 0.01) -> str:

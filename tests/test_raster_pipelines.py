@@ -333,6 +333,17 @@ def test_zonal_remap_counts_runs(synth_sf001):
     assert len(out) > 0
     px_per_tile = out.groupby("tile_id")["n_px"].sum()
     assert (px_per_tile == 32 * 32).all()  # partition of every DEM tile
+    # the query has no SQL oracle: pin its frame hash
+    # (scripts/verify_queries.value_hash)
+    import importlib.util
+    import pathlib
+
+    spec = importlib.util.spec_from_file_location(
+        "verify_queries",
+        pathlib.Path(__file__).resolve().parents[1] / "scripts" / "verify_queries.py")
+    vq = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(vq)
+    assert vq.value_hash(out) == "40feb7708b1ad4dc4cf687baa545cd7f"
 
 
 class TestAnalyticExactGates:

@@ -135,7 +135,8 @@ class TestAdaptiveCovering:
         np.testing.assert_array_equal(ins, full)
 
     def test_convex_adaptive_covering_invariants(self):
-        from raster_functions_ray.spatial import (adaptive_covering_convex,
+        from raster_functions_ray.grid import adaptive_covering
+        from raster_functions_ray.spatial import (convex_inside,
                                                   point_in_convex_batch)
         # CCW hexagon around (180, 0)
         ang = np.linspace(0, 2 * np.pi, 7)[:-1]
@@ -144,8 +145,9 @@ class TestAdaptiveCovering:
         verts[1::2] = 0 + 15 * np.sin(ang)
         bb = [verts[0::2].min(), verts[1::2].min(),
               verts[0::2].max(), verts[1::2].max()]
-        z, lv, ix, iy, full = adaptive_covering_convex([7], [bb], [verts], 3, 6)
-        assert (z == 7).all() and len(z) > 0
+        z, lv, ix, iy, full = adaptive_covering([bb], 3, 6,
+                                                convex_inside([verts]))
+        assert (z == 0).all() and full.any()
         assert (lv[~full] == 6).all()
         # every full cell's corners are truly inside the polygon
         w = 360.0 / 2.0**lv
