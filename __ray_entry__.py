@@ -137,7 +137,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "group_regression": rel.q_group_regression,
         "incremental_daily": rel.q_incremental_daily,
         "late_events": rel.q_late_events,
-        "q3_shipping_bloom": rel.q3_shipping_bloom,
         "zonal_percentiles": regions.q_zonal_percentiles,
         "hist_equalize": regions.q_hist_equalize,
         "od_matrix": spatial.q_od_matrix,
@@ -236,7 +235,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # relational (SURVEY.md §2 aggregate/join/filter/top-k shapes)
         "q1_pricing": rel.q1_pricing,
         "q3_shipping": rel.q3_shipping,
-        "q3_shipping_shuffle": rel.q3_shipping_shuffle,
         "q17_small_quantity": rel.q17_small_quantity,
         "orders_by_segment": rel.q_orders_by_segment,
         "top_parts": rel.q_top_parts,
@@ -256,7 +254,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "window_moving_max": rel.q_window_moving_max,
         "asof_join": rel.q_asof_join,
         "anti_join": rel.q_anti_join,
-        "anti_join_shuffle": rel.q_anti_join_shuffle,
         "left_outer_join": rel.q_left_outer_join,
         "exact_percentiles": rel.q_exact_percentiles,
         "segment_except": rel.q_segment_except,
@@ -285,7 +282,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "ngram_jaccard": dedup.q_ngram_jaccard,
         "typo_pairs": dedup.q_typo_pairs,
         "embedding_nn_dedup": dedup.q_embedding_nn_dedup,
-        "embedding_nn_dedup_clustered": ann.exact_nn_clustered,
         "dup_clusters": trainprep.q_dup_clusters,
         "stratified_sample": trainprep.q_stratified_sample,
         "seq_packing": trainprep.q_seq_packing,
@@ -443,7 +439,6 @@ def oracle_sql(sf: float = 0.01) -> dict[str, str]:
         "group_regression": rel.Q_GROUP_REGRESSION_SQL,
         "incremental_daily": rel.Q_INCREMENTAL_DAILY_SQL,
         "late_events": rel.Q_LATE_EVENTS_SQL,
-        "q3_shipping_bloom": rel.Q3_SHIPPING_SQL,
         "zonal_percentiles": regions.Q_ZONAL_PERCENTILES_SQL,
         "hist_equalize": regions.Q_HIST_EQUALIZE_SQL,
         "od_matrix": spatial.Q_OD_MATRIX_SQL,
@@ -522,7 +517,6 @@ def oracle_sql(sf: float = 0.01) -> dict[str, str]:
         "heat_index": bandmath.Q_HEAT_INDEX_SQL,
         "q1_pricing": rel.Q1_SQL,
         "q3_shipping": rel.Q3_SHIPPING_SQL,
-        "q3_shipping_shuffle": rel.Q3_SHIPPING_SQL,
         "q17_small_quantity": rel.Q17_SQL,
         "orders_by_segment": rel.Q_ORDERS_BY_SEGMENT_SQL,
         "top_parts": rel.Q_TOP_PARTS_SQL,
@@ -589,7 +583,6 @@ def oracle_sql(sf: float = 0.01) -> dict[str, str]:
         "embedding_nn_dedup": dedup.Q_EMBEDDING_NN_DEDUP_SQL,
         # the k-means ball-pruned lowering shares the broadcast pin's exact
         # oracle (interchangeable-lowerings discipline)
-        "embedding_nn_dedup_clustered": dedup.Q_EMBEDDING_NN_DEDUP_SQL,
         "video_frame_plan": rq.video_frame_plan_oracle_sql(sf),
         "doc_zone_join": spatial.doc_zone_join_oracle_sql(sf),
         "knn_cell_ring": spatial.Q_KNN_SQL,
@@ -659,7 +652,6 @@ def oracle_sql(sf: float = 0.01) -> dict[str, str]:
         "pattern_scrub": textops.Q_PATTERN_SCRUB_SQL,
         "decontaminate": textops.Q_DECONTAMINATE_SQL,
         "left_outer_join": rel.Q_LEFT_OUTER_JOIN_SQL,
-        "anti_join_shuffle": rel.Q_ANTI_JOIN_SQL,
         "exact_percentiles": rel.Q_EXACT_PERCENTILES_SQL,
         "bpe_train": textops.bpe_train_oracle_sql(),
         "bpe_train_encode": textops.bpe_train_encode_oracle_sql(),

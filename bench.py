@@ -2,15 +2,15 @@
 
 Prints ONE JSON line:
   {"metric": ..., "value": total_sec, "unit": "sec", "queries": {...},
-   "sf": ..., "num_cpus": N, "docs_per_sec": ..., "dem_tiles_per_sec": ...,
-   "exchanges": {...}, "exchanges_total": ...}
+   "sf": ..., "num_cpus": N, "docs_per_sec": ..., "dem_tiles_per_sec": ...}
 
 ``docs_per_sec`` is span documents over the flagship wall;
 ``dem_tiles_per_sec`` is the single-band (DEM) tiles, the only ones the
 hillshade reads, over the hillshade wall.
 
 Ray starts with $RAY_GRAFT_CPUS CPUs (default 32).  Per-layer timings and
-steady end-to-end comparisons come from ``perfbench/run.py``.
+steady end-to-end comparisons come from ``perfbench/run.py``; executed
+exchange counts are pinned in ``tests/test_exchanges.py``.
 """
 
 from __future__ import annotations
@@ -22,43 +22,6 @@ import time
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
-
-# All-to-all exchange count per benched pipeline (groupby / repartition /
-# hash-join / sort over Dataset blocks — the ops whose ~1s fixed machinery
-# cost dominates the suite envelope; audited from the pipeline code after
-# the round-4 exchange collapse).  Broadcast side-inputs (ray.put) and
-# storage-aligned halo/stack reads move no blocks and count 0.
-EXCHANGES = {
-    "flagship": 1,          # cell_id groupby (counts phase driver-merged)
-    "q1_pricing": 1,        # groupby over pre-aggregated partials
-    "pip_rect": 0,          # broadcast zone index, map-side attach
-    "knn": 0,               # broadcast queries + per-block partial top-k
-    "cell_assign_tiles": 0,
-    "ndvi": 0,
-    "hillshade": 0,         # storage-aligned parquet halo
-    "median_composite": 0,  # storage-aligned stack reduce
-    "zonal_remap": 0,       # feature-service actor state + map
-    "doc_zone_join": 0,     # broadcast zone index, task-pool map
-    "exact_dedup": 2,       # measured block coalesce + groupby(h)
-    "minhash_dedup": 2,     # signature-row coalesce (narrow rows, not
-                            # text) + LSH Count groupby; pair formation
-                            # + verify are driver/broadcast lowerings
-    "token_stats": 1,       # lang groupby over partials
-    "ann_topk": 0,          # broadcast query matrix + partial top-k
-    "region_label": 2,      # handshake-key groupby + (tiny) CC resolve;
-                            # pixels never shuffle — partials only
-    "segment_join": 0,      # size-dispatched: points-side sorted cell
-                            # index broadcast (ray.put once), segments
-                            # probe map-side; the cell-keyed hash-join
-                            # lowering (1 exchange) engages above 2M
-                            # points and stays pytest-pinned
-    "bpe_train": 1,         # ONE corpus->vocab groupby; the K merge
-                            # rounds run on the vocab (driver-side below
-                            # 200k vocab rows, distributed above)
-    "logreg_train": 0,      # featurize pass + K partial-gradient map
-                            # passes; 9-int partials tree-sum, weights
-                            # broadcast per round — no shuffle
-}
 
 
 def run_bench() -> dict:
@@ -145,8 +108,6 @@ def run_bench() -> dict:
         "num_cpus": NUM_CPUS,
         "docs_per_sec": round(n_span_docs / max(times["flagship"], 1e-9), 1),
         "dem_tiles_per_sec": round(n_dem_tiles / max(times["hillshade"], 1e-9), 1),
-        "exchanges": EXCHANGES,
-        "exchanges_total": sum(EXCHANGES.values()),
     }
     ray.shutdown()
     return result

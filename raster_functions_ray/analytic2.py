@@ -1870,7 +1870,7 @@ def q_resumable_hillshade_exact(sf_dir: str) -> pd.DataFrame:
     per-tile stats as ``q_hillshade_exact``, against the SAME oracle.
     Resume therefore has to be bit-identical to a one-shot run to pass."""
     import shutil
-    import uuid
+    import tempfile
 
     from .functions import focal as fc
     from .stages import halo, tile_map
@@ -1892,7 +1892,7 @@ def q_resumable_hillshade_exact(sf_dir: str) -> pd.DataFrame:
         batches = list(out.iter_batches(batch_size=64, batch_format="pyarrow"))
         return pa.concat_tables(batches)
 
-    root = f"/tmp/rfr_ckpt_exact/{uuid.uuid4().hex[:8]}"
+    root = tempfile.mkdtemp(prefix="rfr_ckpt_")
     try:
         from .state.checkpoint import run_partitioned
 

@@ -881,8 +881,7 @@ NN_ANGLE_SLACK = 1e-6
 NN_MERGE_DRIVER_LIMIT = 2_000_000
 
 
-def exact_nn_clustered(sf_dir: str,
-                       merge_driver_limit: int | None = None) -> pd.DataFrame:
+def exact_nn_clustered(sf_dir: str) -> pd.DataFrame:
     """EXACT global cosine nearest neighbor with NO corpus broadcast — the
     scale lowering of dedup.q_embedding_nn_dedup (same output, same SQL
     oracle).  K-means ball pruning:
@@ -901,7 +900,7 @@ def exact_nn_clustered(sf_dir: str,
        win the tie-break);
     5. probes shuffle to their target clusters (bounded fan-out), each
        returns lex-max(carried best, best member); a final per-vec lex
-       merge (driver-vectorized below `merge_driver_limit`, hash-groupby
+       merge (driver-vectorized below `NN_MERGE_DRIVER_LIMIT`, hash-groupby
        beyond) yields the unique global argmax with min-id tie-break.
 
     Every exchange is cluster- or probe-sized; the only driver state is
@@ -913,9 +912,6 @@ def exact_nn_clustered(sf_dir: str,
     radii approach 90 deg and the bound legitimately degrades to
     probe-everything, which stays EXACT (equivalent work to a striped
     self-join) — correctness never depends on the clustering quality."""
-    if merge_driver_limit is None:
-        merge_driver_limit = NN_MERGE_DRIVER_LIMIT
-
     ds = read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
     cent = _km_fit(ds)
     cf = cent.astype(np.float64)
@@ -1069,7 +1065,7 @@ def exact_nn_clustered(sf_dir: str,
         first = np.r_[True, v[1:] != v[:-1]]
         return pd.DataFrame({"vec_id": v[first], "nn_vec_id": i[first]})
 
-    if cand.count() <= merge_driver_limit:
+    if cand.count() <= NN_MERGE_DRIVER_LIMIT:
         vs, ss, ns = [], [], []
         for blk in cand.iter_batches(batch_format="pandas"):
             vs.append(blk["vec_id"].to_numpy(np.int64))

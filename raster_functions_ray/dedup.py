@@ -226,25 +226,6 @@ class MinHasher:
 
 _MINHASHER: MinHasher | None = None
 
-_BROADCAST_CACHE: dict = {}
-
-
-def _worker_broadcast(ref):
-    """Resolve a ``ray.put`` broadcast once per WORKER process (keyed on
-    the object ref), so per-batch map functions don't pay a ray.get +
-    deserialize per batch — actor-__init__ semantics for task-pool
-    stages, same rationale as the _MINHASHER cache above."""
-    import ray
-    key = ref.hex()
-    val = _BROADCAST_CACHE.get(key)
-    if val is None:
-        if len(_BROADCAST_CACHE) > 8:  # stale refs from finished queries
-            _BROADCAST_CACHE.clear()
-        val = ray.get(ref)
-        _BROADCAST_CACHE[key] = val
-    return val
-
-
 def minhash_batch(b: pa.Table) -> pa.Table:
     """Stateless-task lowering of MinHasher with a per-WORKER state cache:
     Ray reuses worker processes, so the permutation params are built once
@@ -418,28 +399,24 @@ _EMPTY_PAIRS = pd.DataFrame({"doc_a": pd.Series([], dtype="int64"),
 
 
 def _verify_pairs_distributed(pairs, sf_dir: str, *, kind: str,
-                              threshold: float,
-                              broadcast_limit: int = 2_000_000) -> pd.DataFrame:
+                              threshold: float) -> pd.DataFrame:
     """Exact Jaccard verify of a candidate-pair Dataset, fully distributed:
 
     - the distinct candidate DOC-ID set (8 bytes/row, result-sized) is the
       only thing the driver holds; texts are pushdown-read for those ids
       only (no corpus shuffle — predicate pushdown at the parquet read);
-    - candidate texts hash-join onto the pairs twice (doc_a then doc_b),
-      so pair rows — including a viral duplicate's million-pair stream —
-      flow through workers, never a driver dict/loop; texts reach the
-      scorers via a ray.put broadcast while the candidate set fits
-      (result-sized, the common case) and via two hash joins beyond
-      ``broadcast_limit``;
+    - candidate texts join onto the pairs twice (doc_a then doc_b, two
+      ``key_join`` calls sized by the candidate count), so pair rows —
+      including a viral duplicate's million-pair stream — flow through
+      workers, never a driver dict/loop;
     - Jaccard is computed inside map_batches with a per-batch shingle-set
       cache (a hot doc's set is built once per batch, not once per pair).
 
     ``kind``: 'char3' (shingles(), round-then-threshold — q_minhash_dedup
     semantics) or 'word' (word_shingles(), threshold the unrounded ratio
     exactly like the SQL WHERE — q_ngram_jaccard semantics)."""
-    import ray.data as rd
-
-    from .sources import join_partitions, read_table_filtered
+    from .sources import read_table_filtered
+    from .stages.join import key_join
 
     import pyarrow.compute as pc
 
@@ -466,47 +443,10 @@ def _verify_pairs_distributed(pairs, sf_dir: str, *, kind: str,
     texts_tbl = read_table_filtered(
         sf_dir, "documents", ["doc_id", "text"],
         pc.field("doc_id").isin(need.tolist()))
-    if need.size <= broadcast_limit:
-        # broadcast lowering (the common case — candidates are
-        # result-sized): candidate texts go to the OBJECT STORE once,
-        # pre-sorted by doc_id, and every scoring task reads them; the
-        # per-batch attach is a vectorized searchsorted + Arrow take —
-        # no per-batch dict build, no Python string hop (texts stay an
-        # Arrow column end to end), and the sorted-id array is resolved
-        # once per WORKER via the module cache (the _MINHASHER pattern)
-        import ray
-        import pyarrow.compute as _pc
-        sorted_tbl = texts_tbl.sort_by("doc_id")
-        texts_ref = ray.put((
-            np.asarray(sorted_tbl["doc_id"], dtype=np.int64),
-            sorted_tbl["text"].combine_chunks()))
-
-        def attach(b: pa.Table) -> pa.Table:
-            ids_sorted, text_col = _worker_broadcast(texts_ref)
-            pa_pos = np.searchsorted(
-                ids_sorted, np.asarray(b["doc_a"], dtype=np.int64))
-            pb_pos = np.searchsorted(
-                ids_sorted, np.asarray(b["doc_b"], dtype=np.int64))
-            return pa.table({"doc_a": b["doc_a"], "doc_b": b["doc_b"],
-                             "text_a": _pc.take(text_col, pa.array(pa_pos)),
-                             "text_b": _pc.take(text_col, pa.array(pb_pos))})
-
-        j = pairs.map_batches(attach, batch_format="pyarrow", batch_size=8192)
-    else:
-        # shuffle lowering: texts hash-join onto the pairs twice — the
-        # path for when the candidate set itself is too big to broadcast
-        texts = rd.from_arrow(texts_tbl)
-        ta = texts.map_batches(lambda b: b.rename_columns(["doc_a", "text_a"]),
-                               batch_format="pyarrow")
-        tb = texts.map_batches(lambda b: b.rename_columns(["doc_b", "text_b"]),
-                               batch_format="pyarrow")
-        # join width scales with the candidate count — a small verify must
-        # not pay a 64-partition hash-join spin-up
-        nparts = max(2, min(join_partitions(), n_pairs // 50_000 + 2))
-        j = (pairs.join(ta, join_type="inner", num_partitions=nparts,
-                        on=("doc_a",))
-             .join(tb, join_type="inner", num_partitions=nparts,
-                   on=("doc_b",)))
+    j = key_join(pairs, texts_tbl.rename_columns(["doc_a", "text_a"]),
+                 "doc_a", "inner", need.size)
+    j = key_join(j, texts_tbl.rename_columns(["doc_b", "text_b"]),
+                 "doc_b", "inner", need.size)
 
     def score(bt: pa.Table) -> pa.Table:
         df = bt.to_pandas()
@@ -702,18 +642,13 @@ def q_embedding_nn_dedup(sf_dir: str) -> pd.DataFrame:
     ann.exact_nn_clustered — k-means ball pruning, identical output,
     shared SQL oracle (the interchangeable-lowerings discipline) — so no
     unconditional corpus broadcast remains at any scale."""
-    import os
-
-    import pyarrow.parquet as pqm
     import ray
 
     from raster_functions_ray import ann
 
-    from .sources import read_table, read_table_arrow
+    from .sources import read_table, read_table_arrow, table_rows
 
-    path = os.path.join(sf_dir, "embeddings.parquet")
-    n_corpus = pqm.read_metadata(path).num_rows if os.path.exists(path) else 0
-    if n_corpus > NN_BROADCAST_LIMIT:
+    if table_rows(sf_dir, "embeddings") > NN_BROADCAST_LIMIT:
         return ann.exact_nn_clustered(sf_dir)
 
     # same dispatch as the probe-side scan: corpus and probes must come

@@ -1053,24 +1053,30 @@ def q_resumable_hillshade(sf_dir: str) -> pd.DataFrame:
     per partition with its lineage row count and both runs' dispositions
     (deterministic; rows-only)."""
     import shutil
-    import uuid
+    import tempfile
 
     from .pipelines import partitioned
-    from .state.checkpoint import CheckpointStore
+    from .stages import aligned
+    from .state.checkpoint import (CheckpointStore, input_fingerprint,
+                                   run_partitioned)
 
-    root = f"/tmp/rfr_ckpt_query/{uuid.uuid4().hex[:8]}"
+    d = synth.synth_dir_for(sf_dir)
+    tiles = os.path.join(d, "tiles.parquet")
+    keys = [f"scene={s}" for s in aligned.scenes(tiles, bands=1)["scene_id"]]
+    fp = input_fingerprint([tiles])
+    root = tempfile.mkdtemp(prefix="rfr_ckpt_")
     try:
-        r1 = partitioned.run(sf_dir, root)
-        r2 = partitioned.run(sf_dir, root)
         store = CheckpointStore(root)
+        factory = lambda key: partitioned.hillshade_scene(  # noqa: E731
+            d, int(key.split("=")[1]))
+        w1 = run_partitioned(factory, keys, "hillshade", store, fp)
+        w2 = run_partitioned(factory, keys, "hillshade", store, fp)
         lin = store.lineage()
         rows = (lin.groupby("partition_key")
                 .agg(n_rows=("rows", "sum"), n_records=("rows", "size"))
                 .reset_index())
-        rows["computed_run1"] = rows["partition_key"].map(
-            lambda k: int(k.split("=")[1]) in set(r1["computed"]))
-        rows["skipped_run2"] = rows["partition_key"].map(
-            lambda k: int(k.split("=")[1]) in set(r2["skipped"]))
+        rows["computed_run1"] = rows["partition_key"].isin(w1)
+        rows["skipped_run2"] = ~rows["partition_key"].isin(w2)
         rows["n_rows"] = rows["n_rows"].astype("int64")
         rows["n_records"] = rows["n_records"].astype("int64")
         return rows.sort_values("partition_key").reset_index(drop=True)

@@ -7,7 +7,9 @@ its DuckDB oracle at sf0.01).  Patterns exercised:
 - vectorized filters inside map_batches (no per-row ``ds.filter(fn)``);
 - pre-aggregation inside map_batches before the groupby shuffle
   (partial combine → small all-to-all), per SURVEY.md §4;
-- broadcast joins for small dimension tables (ray.put + map-side lookup);
+- every keyed equi-join through ``stages.join.key_join``: a broadcast
+  ``searchsorted`` attach while the dimension side's footer row count fits
+  ``BROADCAST_MAX_ROWS``, a ``Dataset.join`` shuffle above it;
 - sort/limit top-k with deterministic tie-breaks.
 
 Float discipline: aggregate outputs are rounded (2 decimals for money,
@@ -25,7 +27,8 @@ import ray
 import ray.data as rd
 from ray.data.aggregate import Count, Max, Min, Sum
 
-from .sources import read_table
+from .sources import read_table, table_rows
+from .stages.join import key_join
 from .textops import tokenize
 
 
@@ -90,22 +93,20 @@ GROUP BY l_returnflag, l_linestatus
 
 
 def q_orders_by_segment(sf_dir: str) -> pd.DataFrame:
-    """Broadcast join: customer (small) shipped into the orders scan via
-    ray.put; aggregate per market segment."""
-    cust = read_table(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"]).to_pandas()
-    seg_ref = ray.put(dict(zip(cust["c_custkey"], cust["c_mktsegment"])))
-
+    """Orders ⋈ customer (key_join); aggregate per market segment."""
+    cust = (read_table(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"])
+            .rename_columns({"c_custkey": "o_custkey"}))
     orders = read_table(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
+    joined = key_join(orders, cust, "o_custkey", "inner",
+                      table_rows(sf_dir, "customer"))
 
     def partial(b: pa.Table) -> pd.DataFrame:
-        seg = ray.get(seg_ref)
         df = b.to_pandas()
-        df["c_mktsegment"] = df["o_custkey"].map(seg)
         return df.groupby("c_mktsegment", sort=False).agg(
             n_orders=("o_totalprice", "size"),
             total_price=("o_totalprice", "sum")).reset_index()
 
-    out = (orders.map_batches(partial, batch_format="pyarrow", batch_size=65536)
+    out = (joined.map_batches(partial, batch_format="pyarrow", batch_size=65536)
            .groupby("c_mktsegment")
            .aggregate(Sum("n_orders", alias_name="n_orders"),
                       Sum("total_price", alias_name="total_price"))
@@ -183,19 +184,19 @@ FROM events GROUP BY event_type, day
 
 
 def q_nation_balance(sf_dir: str) -> pd.DataFrame:
-    """Two-level broadcast join (nation ← customer) + grouped mean."""
-    nation = read_table(sf_dir, "nation", columns=["n_nationkey", "n_name"]).to_pandas()
-    nmap_ref = ray.put(dict(zip(nation["n_nationkey"], nation["n_name"])))
+    """Customer ⋈ nation (key_join) + grouped mean."""
+    nation = (read_table(sf_dir, "nation", columns=["n_nationkey", "n_name"])
+              .rename_columns({"n_nationkey": "c_nationkey"}))
     cust = read_table(sf_dir, "customer", columns=["c_nationkey", "c_acctbal"])
+    joined = key_join(cust, nation, "c_nationkey", "inner",
+                      table_rows(sf_dir, "nation"))
 
     def partial(b: pa.Table) -> pd.DataFrame:
-        nmap = ray.get(nmap_ref)
         df = b.to_pandas()
-        df["n_name"] = df["c_nationkey"].map(nmap)
         return df.groupby("n_name", sort=False).agg(
             n_customers=("c_acctbal", "size"), sum_bal=("c_acctbal", "sum")).reset_index()
 
-    out = (cust.map_batches(partial, batch_format="pyarrow", batch_size=65536)
+    out = (joined.map_batches(partial, batch_format="pyarrow", batch_size=65536)
            .groupby("n_name")
            .aggregate(Sum("n_customers", alias_name="n_customers"),
                       Sum("sum_bal", alias_name="sum_bal"))
@@ -235,19 +236,20 @@ FROM events GROUP BY user_id
 
 def q_orders_filter_join(sf_dir: str) -> pd.DataFrame:
     """Semi-join shape: orders of customers in the BUILDING segment placed
-    before a date — broadcast the key set, filter map-side, aggregate."""
-    cust = read_table(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"]).to_pandas()
-    keys = set(cust.loc[cust["c_mktsegment"] == "BUILDING", "c_custkey"].tolist())
-    keys_ref = ray.put(keys)
+    before a date — a key_join semi join, then aggregate."""
+    keys = read_table(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"]).map_batches(
+        lambda b: b.filter(pc.equal(b["c_mktsegment"], "BUILDING"))
+                   .select(["c_custkey"]).rename_columns(["o_custkey"]),
+        batch_format="pyarrow")
     orders = read_table(sf_dir, "orders",
                         columns=["o_custkey", "o_orderdate", "o_totalprice", "o_orderpriority"])
     cutoff = pa.scalar(pd.Timestamp("1998-07-01"), pa.timestamp("us"))
+    orders = key_join(orders.map_batches(
+        lambda b: b.filter(pc.less(b["o_orderdate"], cutoff)), batch_format="pyarrow"),
+        keys, "o_custkey", "semi", table_rows(sf_dir, "customer"))
 
     def partial(b: pa.Table) -> pd.DataFrame:
-        b = b.filter(pc.less(b["o_orderdate"], cutoff))
         df = b.to_pandas()
-        ks = ray.get(keys_ref)
-        df = df[df["o_custkey"].isin(ks)]
         return df.groupby("o_orderpriority", sort=False).agg(
             n=("o_totalprice", "size"), total=("o_totalprice", "sum")).reset_index()
 
@@ -268,19 +270,18 @@ GROUP BY o_orderpriority
 
 
 def q_lineitem_part_join(sf_dir: str) -> pd.DataFrame:
-    """Broadcast dimension join lineitem ⨝ part → per-brand quantity."""
-    part = read_table(sf_dir, "part", columns=["p_partkey", "p_brand"]).to_pandas()
-    bmap_ref = ray.put(dict(zip(part["p_partkey"], part["p_brand"])))
+    """Dimension join lineitem ⨝ part (key_join) → per-brand quantity."""
+    part = (read_table(sf_dir, "part", columns=["p_partkey", "p_brand"])
+            .rename_columns({"p_partkey": "l_partkey"}))
     li = read_table(sf_dir, "lineitem", columns=["l_partkey", "l_quantity"])
+    joined = key_join(li, part, "l_partkey", "inner", table_rows(sf_dir, "part"))
 
     def partial(b: pa.Table) -> pd.DataFrame:
-        bmap = ray.get(bmap_ref)
         df = b.to_pandas()
-        df["p_brand"] = df["l_partkey"].map(bmap)
         return df.groupby("p_brand", sort=False).agg(
             n=("l_quantity", "size"), sum_qty=("l_quantity", "sum")).reset_index()
 
-    out = (li.map_batches(partial, batch_format="pyarrow", batch_size=65536)
+    out = (joined.map_batches(partial, batch_format="pyarrow", batch_size=65536)
            .groupby("p_brand")
            .aggregate(Sum("n", alias_name="n"), Sum("sum_qty", alias_name="sum_qty"))
            .to_pandas())
@@ -416,25 +417,17 @@ QUALIFY ROW_NUMBER() OVER (PARTITION BY e.event_id
 
 
 def q_anti_join(sf_dir: str) -> pd.DataFrame:
-    """Anti join: customers with no order before mid-1995 — broadcast the
-    (filtered) order-customer key set (a Bloom filter at scale) and filter
-    map-side.  Arrow-native filter keeps empty batches schema-stable."""
-    import pyarrow.compute as pc2
-
+    """Anti join: customers with no order before mid-1995 — a key_join
+    anti join against the date-filtered order keys."""
     orders = read_table(sf_dir, "orders", columns=["o_custkey", "o_orderdate"])
     cutoff = pa.scalar(pd.Timestamp("1995-06-01"), pa.timestamp("us"))
-    jan = orders.map_batches(
-        lambda b: b.filter(pc2.less(b["o_orderdate"], cutoff)).select(["o_custkey"]),
-        batch_format="pyarrow").to_pandas()
-    kref = ray.put(pa.array(np.unique(jan["o_custkey"].to_numpy()), pa.int64()))
+    keys = orders.map_batches(
+        lambda b: b.filter(pc.less(b["o_orderdate"], cutoff)).select(["o_custkey"])
+                   .rename_columns(["c_custkey"]),
+        batch_format="pyarrow")
     cust = read_table(sf_dir, "customer", columns=["c_custkey", "c_name", "c_acctbal"])
-
-    def anti(b: pa.Table) -> pa.Table:
-        # vectorized Arrow membership (is_in + invert), not a per-row Python
-        # `in`-set loop; the broadcast key array becomes a Bloom filter at scale
-        return b.filter(pc2.invert(pc2.is_in(b["c_custkey"], value_set=ray.get(kref))))
-
-    out = cust.map_batches(anti, batch_format="pyarrow", batch_size=65536).to_pandas()
+    out = key_join(cust, keys, "c_custkey", "anti",
+                   table_rows(sf_dir, "orders")).to_pandas()
     if out.empty:
         out = pd.DataFrame({"c_custkey": pd.Series([], dtype="int64"),
                             "c_name": pd.Series([], dtype="object"),
@@ -580,11 +573,11 @@ def q_segment_median_price(sf_dir: str) -> pd.DataFrame:
     market segment the median order price of its customers' orders.
     groupby(segment).map_groups with np.median == DuckDB median() (both
     average the two middle values)."""
-    cust = read_table(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"])
+    cust = (read_table(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"])
+            .rename_columns({"c_custkey": "o_custkey"}))
     orders = read_table(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
-    from .sources import join_partitions
-    joined = orders.join(cust, join_type="inner", num_partitions=join_partitions(),
-                         on=("o_custkey",), right_on=("c_custkey",))
+    joined = key_join(orders, cust, "o_custkey", "inner",
+                      table_rows(sf_dir, "customer"))
 
     def med(g: pd.DataFrame) -> pd.DataFrame:
         # ROUND(4) on both sides: np.median's mean(a,b) and DuckDB's
@@ -713,13 +706,10 @@ FROM events GROUP BY user_id ORDER BY user_id
 # histogram-exact percentiles
 
 def q_left_outer_join(sf_dir: str) -> pd.DataFrame:
-    """Customers LEFT OUTER JOIN their order aggregate — the engine's
-    native left_outer hash join (Ray 2.49 Dataset.join), null-filled side
-    resolved map-side after the join.  Pre-aggregating orders BEFORE the
-    join keeps the shuffled payload one row per customer, not one per
-    order."""
-    from .sources import join_partitions
-
+    """Customers LEFT OUTER JOIN their order aggregate (key_join, sized by
+    the orders rows that bound the aggregate), null-filled side resolved
+    map-side after the join.  Pre-aggregating orders BEFORE the join keeps
+    the joined payload one row per customer, not one per order."""
     orders = read_table(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
     per_cust = (orders.groupby("o_custkey")
                 .aggregate(Count(alias_name="n_orders"),
@@ -728,8 +718,8 @@ def q_left_outer_join(sf_dir: str) -> pd.DataFrame:
                     ["c_custkey", "n_orders", "sum_price"]),
                     batch_format="pyarrow"))
     cust = read_table(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"])
-    joined = cust.join(per_cust, join_type="left_outer",
-                       num_partitions=join_partitions(), on=("c_custkey",))
+    joined = key_join(cust, per_cust, "c_custkey", "left_outer",
+                      table_rows(sf_dir, "orders"))
 
     def finish(b: pa.Table) -> pd.DataFrame:
         df = b.to_pandas()
@@ -757,32 +747,6 @@ LEFT JOIN (SELECT o_custkey, COUNT(*) AS n_orders, SUM(o_totalprice) AS sum_pric
   ON c.c_custkey = o.o_custkey
 ORDER BY c_custkey
 """
-
-
-def q_anti_join_shuffle(sf_dir: str) -> pd.DataFrame:
-    """The SAME anti join as q_anti_join, lowered onto the native
-    left_anti shuffle join instead of the broadcast key-set filter —
-    gated by the identical oracle, proving the two lowerings
-    interchangeable (broadcast when the key side is small, shuffle when
-    both sides are corpus-scale)."""
-    from .sources import join_partitions
-
-    orders = read_table(sf_dir, "orders", columns=["o_custkey", "o_orderdate"])
-    cutoff = pa.scalar(pd.Timestamp("1995-06-01"), pa.timestamp("us"))
-    keys = orders.map_batches(
-        lambda b: b.filter(pc.less(b["o_orderdate"], cutoff)).select(["o_custkey"])
-                   .rename_columns(["c_custkey"]),
-        batch_format="pyarrow")
-    cust = read_table(sf_dir, "customer", columns=["c_custkey", "c_name", "c_acctbal"])
-    out = (cust.join(keys, join_type="left_anti",
-                     num_partitions=join_partitions(), on=("c_custkey",))
-           .to_pandas())
-    if out.empty:
-        out = pd.DataFrame({"c_custkey": pd.Series([], dtype="int64"),
-                            "c_name": pd.Series([], dtype="object"),
-                            "c_acctbal": pd.Series([], dtype="float64")})
-    return (out[["c_custkey", "c_name", "c_acctbal"]]
-            .sort_values("c_custkey").reset_index(drop=True))
 
 
 PCT_QS = ((1, 2), (9, 10), (99, 100))  # 0.5 / 0.9 / 0.99 as exact rationals
@@ -900,10 +864,8 @@ Q3_TOPK = 10
 
 
 def _q3_revenue(sf_dir: str) -> rd.Dataset:
-    """Shared Q3 leg 1: lineitem reduced to one (orderkey, revenue) row
-    per order (date filter pushed per batch, pre-aggregated shuffle),
-    MATERIALIZED — joining a lazy aggregate interleaves the two shuffles
-    pathologically (measured 10x, see q_boilerplate)."""
+    """Q3 leg 1: lineitem reduced to one (orderkey, revenue) row
+    per order (date filter pushed per batch, pre-aggregated shuffle)."""
     li = read_table(sf_dir, "lineitem",
                     columns=["l_orderkey", "l_extendedprice", "l_discount",
                              "l_shipdate"])
@@ -918,12 +880,11 @@ def _q3_revenue(sf_dir: str) -> rd.Dataset:
                          "revenue": pa.array(g["revenue"].to_numpy(np.float64))})
 
     return (li.map_batches(li_partial, batch_format="pyarrow", batch_size=65536)
-            .groupby("o_orderkey").aggregate(Sum("revenue", alias_name="revenue"))
-            .materialize())
+            .groupby("o_orderkey").aggregate(Sum("revenue", alias_name="revenue")))
 
 
 def _q3_topk(joined: rd.Dataset) -> pd.DataFrame:
-    """Shared Q3 final: 2dp revenue rounding (the q1_pricing float
+    """Q3 final: 2dp revenue rounding (the q1_pricing float
     discipline) + per-batch partial top-k merged on the driver."""
     def topk(b: pa.Table) -> pd.DataFrame:
         df = b.to_pandas()
@@ -947,43 +908,29 @@ def q3_shipping(sf_dir: str) -> pd.DataFrame:
     - lineitem is reduced to one (orderkey, revenue) row per order by a
       per-batch partial + groupby-Sum FIRST, so the join ships order-count
       rows, never line items;
-    - the customer leg is a broadcast semi-join (segment-filtered keyset,
-      ray.put once) — the classic small-side reduction;
+    - the customer leg is a key_join semi join (segment-filtered keys),
+      and revenue ⋈ orders a key_join inner join;
     - the final top-{Q3_TOPK} is a per-batch partial top-k merged on the
       driver (O(batches × k), no global sort).
 
     Revenue rounds to 2dp on BOTH sides before ordering, the repo's float
     discipline (q1_pricing)."""
-    import ray
+    rev = _q3_revenue(sf_dir)
 
-    rev = _q3_revenue(sf_dir)   # shared leg 1
-
-    # leg 2: segment-filtered customer keyset, broadcast once (driver-side
-    # pruned read — a distributed scan for a few hundred keys is overhead)
-    import pyarrow.compute as _pc
-
-    from .sources import read_table_filtered
-    ckeys = read_table_filtered(
-        sf_dir, "customer", ["c_custkey"],
-        _pc.field("c_mktsegment") == Q3_SEGMENT)["c_custkey"]
-    cref = ray.put(ckeys.combine_chunks().cast(pa.int64()))
-
-    # leg 3: date-filtered orders, semi-joined to the broadcast keyset
+    # customer leg: segment-filtered keys, semi-joined to date-filtered orders
+    ckeys = read_table(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"]).map_batches(
+        lambda b: b.filter(pc.equal(b["c_mktsegment"], Q3_SEGMENT))
+                   .select(["c_custkey"]).rename_columns(["o_custkey"]),
+        batch_format="pyarrow")
     orders = read_table(sf_dir, "orders",
                         columns=["o_orderkey", "o_custkey", "o_orderdate",
                                  "o_orderpriority"])
     date_cut = pa.scalar(Q3_DATE, pa.timestamp("us"))
-
-    def o_filter(b: pa.Table) -> pa.Table:
-        b = b.filter(pc.less(b["o_orderdate"], date_cut))
-        return b.filter(pc.is_in(b["o_custkey"], value_set=ray.get(cref)))
-
-    o = orders.map_batches(o_filter, batch_format="pyarrow", batch_size=65536)
-
-    from .sources import join_partitions
-    joined = rev.join(o, join_type="inner", num_partitions=join_partitions(),
-                      on=("o_orderkey",))
-    return _q3_topk(joined)   # shared final
+    o = key_join(orders.map_batches(
+        lambda b: b.filter(pc.less(b["o_orderdate"], date_cut)), batch_format="pyarrow"),
+        ckeys, "o_custkey", "semi", table_rows(sf_dir, "customer"))
+    joined = key_join(rev, o, "o_orderkey", "inner", table_rows(sf_dir, "orders"))
+    return _q3_topk(joined)
 
 
 Q3_SHIPPING_SQL = f"""
@@ -1001,41 +948,6 @@ LIMIT {Q3_TOPK}
 """
 
 
-def q3_shipping_shuffle(sf_dir: str) -> pd.DataFrame:
-    """Q3 with the customer leg lowered onto the native SHUFFLE hash join
-    instead of the broadcast keyset — gated by the identical oracle
-    (Q3_SHIPPING_SQL), proving the two lowerings interchangeable.  This is
-    the lowering to pick when the dimension side grows with the corpus
-    (TPC-H customer scales linearly with SF, so at 100 TB the driver-side
-    keyset pull in q3_shipping stops being 'provably small'); the
-    broadcast variant remains the faster plan while the keyset fits."""
-    from .sources import join_partitions
-
-    rev = _q3_revenue(sf_dir)   # shared leg 1
-
-    # customer leg: segment filter pushed into the scan, then a SHUFFLE
-    # semi-join (keys are unique per customer, so inner == semi)
-    cust = read_table(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"])
-    ckeys = cust.map_batches(
-        lambda b: b.filter(pc.equal(b["c_mktsegment"], Q3_SEGMENT))
-                   .select(["c_custkey"]).rename_columns(["o_custkey"]),
-        batch_format="pyarrow")
-
-    orders = read_table(sf_dir, "orders",
-                        columns=["o_orderkey", "o_custkey", "o_orderdate",
-                                 "o_orderpriority"])
-    date_cut = pa.scalar(Q3_DATE, pa.timestamp("us"))
-    o = orders.map_batches(
-        lambda b: b.filter(pc.less(b["o_orderdate"], date_cut)),
-        batch_format="pyarrow", batch_size=65536)
-    nparts = join_partitions()
-    o = o.join(ckeys, join_type="inner", num_partitions=nparts,
-               on=("o_custkey",)).materialize()
-    joined = rev.join(o, join_type="inner", num_partitions=nparts,
-                      on=("o_orderkey",))
-    return _q3_topk(joined)   # shared final
-
-
 # ------------------------------------- TPC-H Q17 (correlated subquery)
 
 Q17_BRAND = "Brand#1"
@@ -1043,59 +955,49 @@ Q17_BRAND = "Brand#1"
 
 def q17_small_quantity(sf_dir: str) -> pd.DataFrame:
     """TPC-H Q17 shape — the correlated scalar subquery (per-part average
-    quantity) lowered to aggregate → broadcast → filter:
+    quantity) lowered to aggregate → join → filter:
 
-    - the brand's part keys broadcast once (small side);
+    - the brand's part keys semi-join the lineitems (key_join);
     - per-part avg quantity comes from ONE pre-aggregated groupby over the
       brand-filtered lineitems (sum+count partials; quantities are
       integral so the threshold 0.2*(sum/cnt) is the identical double on
       both sides);
-    - the final pass re-filters the same lineitems against the broadcast
-      threshold map — the correlated subquery never becomes a join."""
-    import ray
-
-    import pyarrow.compute as _pc
-
-    from .sources import read_table_filtered
-    pkeys = read_table_filtered(
-        sf_dir, "part", ["p_partkey"],
-        _pc.field("p_brand") == Q17_BRAND)["p_partkey"]
-    pref = ray.put(pkeys.combine_chunks().cast(pa.int64()))
-
+    - the final pass joins the same lineitems to the per-part threshold
+      (key_join inner) and keeps those below it."""
+    pkeys = read_table(sf_dir, "part", columns=["p_partkey", "p_brand"]).map_batches(
+        lambda b: b.filter(pc.equal(b["p_brand"], Q17_BRAND))
+                   .select(["p_partkey"]).rename_columns(["l_partkey"]),
+        batch_format="pyarrow")
     li = read_table(sf_dir, "lineitem",
                     columns=["l_partkey", "l_quantity", "l_extendedprice"])
-
-    def brand_only(b: pa.Table) -> pa.Table:
-        return b.filter(pc.is_in(b["l_partkey"], value_set=ray.get(pref)))
-
-    brand_li = li.map_batches(brand_only, batch_format="pyarrow",
-                              batch_size=65536).materialize()
+    n_part = table_rows(sf_dir, "part")
+    brand_li = key_join(li, pkeys, "l_partkey", "semi", n_part).materialize()
 
     def qty_partial(b: pa.Table) -> pd.DataFrame:
         df = b.to_pandas()
         return df.groupby("l_partkey", sort=False).agg(
             sq=("l_quantity", "sum"), n=("l_quantity", "size")).reset_index()
 
-    agg = (brand_li.map_batches(qty_partial, batch_format="pyarrow",
+    thr = (brand_li.map_batches(qty_partial, batch_format="pyarrow",
                                 batch_size=65536)
            .groupby("l_partkey")
            .aggregate(Sum("sq", alias_name="sq"), Sum("n", alias_name="n"))
-           .to_pandas())
-    thr = dict(zip(agg["l_partkey"].to_numpy(np.int64),
-                   0.2 * (agg["sq"].to_numpy(np.float64)
-                          / agg["n"].to_numpy(np.float64))))
-    tref = ray.put(thr)
+           .map_batches(lambda b: pa.table({
+               "l_partkey": b["l_partkey"],
+               "thr": 0.2 * (np.asarray(b["sq"], np.float64)
+                             / np.asarray(b["n"], np.float64))}),
+               batch_format="pyarrow"))
 
     def below(b: pa.Table) -> pd.DataFrame:
         df = b.to_pandas()
-        t = df["l_partkey"].map(ray.get(tref)).to_numpy(np.float64)
-        keep = df["l_quantity"].to_numpy(np.float64) < t
+        keep = (df["l_quantity"].to_numpy(np.float64)
+                < df["thr"].to_numpy(np.float64))
         d = df[keep]
         return pd.DataFrame({"s": [d["l_extendedprice"].sum()],
                              "n": [np.int64(len(d))]})
 
-    parts = brand_li.map_batches(below, batch_format="pyarrow",
-                                 batch_size=65536).to_pandas()
+    parts = key_join(brand_li, thr, "l_partkey", "inner", n_part).map_batches(
+        below, batch_format="pyarrow", batch_size=65536).to_pandas()
     return pd.DataFrame({
         "avg_yearly": [np.floor(float(parts["s"].sum()) / 7.0 * 100.0 + 0.5)
                        / 100.0],
@@ -2030,97 +1932,6 @@ FROM w GROUP BY user_id ORDER BY user_id
 """
 
 
-# ---------------- Q3 with a bloom-filter pre-shuffle prune (3rd lowering)
-
-BLOOM_M = 1 << 20   # filter bits (128 KiB packed) — independent of keyset
-BLOOM_SALTS = (0x9E3779B1, 0x85EBCA77, 0xC2B2AE3D)  # public mix constants
-
-
-def _bloom_hash(k: np.ndarray, salt: int) -> np.ndarray:
-    """SplitMix64 finalizer (public domain constants) — a LINEAR hash mod
-    2²⁰ would correlate the k positions (key≡key' mod 2²⁰ fires all salts
-    at once); the xorshift-multiply rounds break that."""
-    with np.errstate(over="ignore"):
-        h = k + np.uint64(salt)
-        h = (h ^ (h >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        h = (h ^ (h >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        h ^= h >> np.uint64(31)
-    return (h % np.uint64(BLOOM_M)).astype(np.int64)
-
-
-def bloom_positions(keys: np.ndarray) -> np.ndarray:
-    """The 3 bit positions per key (vectorized)."""
-    k = keys.astype(np.uint64)
-    return np.unique(np.concatenate([_bloom_hash(k, s)
-                                     for s in BLOOM_SALTS]))
-
-
-def bloom_member(packed: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Vectorized membership probe against the packed bit array."""
-    k = keys.astype(np.uint64)
-    hit = np.ones(keys.size, bool)
-    for s in BLOOM_SALTS:
-        pos = _bloom_hash(k, s)
-        hit &= ((packed[pos >> 3] >> (pos & 7).astype(np.uint8)) & 1) == 1
-    return hit
-
-
-def q3_shipping_bloom(sf_dir: str) -> pd.DataFrame:
-    """Q3's third lowering — bloom-pruned shuffle join, gated by the
-    identical oracle: the segment keyset is summarized into a {BLOOM_M}-bit
-    bloom filter (built distributed as deduped bit-position rows, merged
-    and packed driver-side, broadcast ONCE at 128 KiB regardless of how
-    many customers match), orders are pre-filtered through it before the
-    exact shuffle join sweeps out the false positives.  This is the plan
-    for when the dimension keyset is too big to broadcast exactly but the
-    fact-side shuffle is worth pruning — the broadcast is O(filter bits),
-    the prune removes ~all non-matching orders, and correctness never
-    depends on the filter (the join is still exact)."""
-    import ray
-
-    from .sources import join_partitions
-
-    rev = _q3_revenue(sf_dir)   # shared leg 1
-
-    cust = read_table(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"])
-    ckeys = cust.map_batches(
-        lambda b: b.filter(pc.equal(b["c_mktsegment"], Q3_SEGMENT))
-                   .select(["c_custkey"]).rename_columns(["o_custkey"]),
-        batch_format="pyarrow").materialize()
-
-    # distributed bloom build: each batch emits its DEDUPED bit positions
-    # (≤ 3·keys int64 rows); the driver unions and packs 128 KiB of bits
-    pos_rows = ckeys.map_batches(
-        lambda b: pa.table({"pos": pa.array(bloom_positions(
-            np.asarray(b["o_custkey"], dtype=np.int64)))}),
-        batch_format="pyarrow").to_pandas()
-    bits = np.zeros(BLOOM_M, np.uint8)
-    bits[np.unique(pos_rows["pos"].to_numpy(np.int64))] = 1
-    bref = ray.put(np.packbits(bits, bitorder="little"))
-
-    orders = read_table(sf_dir, "orders",
-                        columns=["o_orderkey", "o_custkey", "o_orderdate",
-                                 "o_orderpriority"])
-    date_cut = pa.scalar(Q3_DATE, pa.timestamp("us"))
-
-    def o_prefilter(b: pa.Table) -> pa.Table:
-        b = b.filter(pc.less(b["o_orderdate"], date_cut))
-        keep = bloom_member(ray.get(bref),
-                            np.asarray(b["o_custkey"], dtype=np.int64))
-        return b.filter(pa.array(keep))
-
-    o = orders.map_batches(o_prefilter, batch_format="pyarrow",
-                           batch_size=65536)
-    nparts = join_partitions()
-    o = o.join(ckeys, join_type="inner", num_partitions=nparts,
-               on=("o_custkey",)).materialize()
-    joined = rev.join(o, join_type="inner", num_partitions=nparts,
-                      on=("o_orderkey",))
-    return _q3_topk(joined)   # shared final
-
-
-# ------------------- schema-on-read JSON prop extraction + rollup
-
 def q_json_props(sf_dir: str) -> pd.DataFrame:
     """Schema-on-read over the events ``props`` JSON column (the
     semi-structured column every log table carries): extract the numeric
@@ -2269,9 +2080,9 @@ def q_group_topk_dense(sf_dir: str) -> pd.DataFrame:
     def final(g: pd.DataFrame) -> pd.DataFrame:
         top = np.sort(g["cents"].unique())[-TOPK_PER_GROUP:]
         out = g[g["cents"].isin(top)].copy()
-        # dense rank: 1 = highest distinct value
-        order = {v: i + 1 for i, v in enumerate(sorted(top, reverse=True))}
-        out["rnk"] = out["cents"].map(order).astype(np.int64)
+        # dense rank: 1 = highest distinct value (top is ascending)
+        out["rnk"] = (len(top) - np.searchsorted(top, out["cents"].to_numpy())
+                      ).astype(np.int64)
         return out
 
     out = (ds.map_batches(partial, batch_format="pyarrow",

@@ -56,6 +56,20 @@ def read_table_arrow(sf_dir: str, name: str, columns: list[str] | None = None):
     return pq.read_table(base + ".parquet", columns=columns)
 
 
+def table_rows(sf_dir: str, name: str) -> int:
+    """Row count of a driver table from metadata alone (the parquet footer
+    or the lance manifest), honoring the lance-or-parquet dispatch — sizes
+    a join side before anything executes."""
+    import pyarrow.parquet as pq
+
+    base = os.path.join(sf_dir, name)
+    if _HAVE_LANCE and os.path.isdir(base + ".lance"):
+        import lance
+
+        return lance.dataset(base + ".lance").count_rows()
+    return pq.read_metadata(base + ".parquet").num_rows
+
+
 def read_table_filtered(sf_dir: str, name: str, columns: list[str], flt):
     """Driver-side pushdown read of a SMALL filtered slice (candidate-verify
     reads) as a pyarrow Table, honoring the lance-or-parquet dispatch —

@@ -1481,7 +1481,9 @@ def q_segment_join(sf_dir: str) -> pd.DataFrame:
     # filter (a map_groups over the mostly point-free cell grid paid one
     # Python call per cell — 40k cells, 10k points → 6.5 s; the join
     # only materializes candidate rows where both sides share a cell)
-    if pts.count() <= SEGJ_BROADCAST_MAX_POINTS:
+    from .stages import join
+
+    if pts.count() <= join.BROADCAST_MAX_ROWS:
         out = _segment_join_broadcast(pts, segs).to_pandas()
     else:  # pragma: no cover — exercised by the forced-dispatch pytest
         pcells = pts.map_batches(pt_cells, batch_format="pyarrow")
@@ -1491,12 +1493,6 @@ def q_segment_join(sf_dir: str) -> pd.DataFrame:
                            num_partitions=nparts, on=("key",))
         out = cand.map_batches(score, batch_format="pyarrow").to_pandas()
     return out.sort_values(["event_id", "seg_id"]).reset_index(drop=True)
-
-
-# point-side row count at/below which q_segment_join broadcasts the
-# sorted point-cell index instead of shuffling a hash join (narrow int
-# rows: 32 B/point → 64 MB at 2M, the repo's broadcast budget)
-SEGJ_BROADCAST_MAX_POINTS = 2_000_000
 
 
 def _seg_bbox_cells(x1, y1, x2, y2) -> tuple[np.ndarray, np.ndarray]:

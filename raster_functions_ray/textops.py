@@ -296,7 +296,7 @@ def q_resumable_training_exact(sf_dir: str) -> pd.DataFrame:
     exactly where a 100 TB job would restart."""
     import os
     import shutil
-    import uuid
+    import tempfile
 
     import pyarrow.compute as pc
 
@@ -317,7 +317,7 @@ def q_resumable_training_exact(sf_dir: str) -> pd.DataFrame:
         batches = list(out.iter_batches(batch_format="pyarrow", batch_size=8192))
         return pa.concat_tables(batches) if batches else pa.table({})
 
-    root = f"/tmp/rfr_ckpt_training/{uuid.uuid4().hex[:8]}"
+    root = tempfile.mkdtemp(prefix="rfr_ckpt_")
     try:
         store = CheckpointStore(root)
         fp = input_fingerprint([doc_path])

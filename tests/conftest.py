@@ -1,4 +1,7 @@
+import contextlib
+import logging
 import os
+import re
 
 import pytest
 import ray
@@ -21,3 +24,31 @@ def ray_session():
 def synth_sf001():
     from raster_functions_ray import synth
     return synth.synth_dir(0.001)
+
+
+@pytest.fixture
+def executed_plans():
+    """``with executed_plans() as plans:`` collects the operator chain of
+    every Dataset that Ray Data executes inside the block, read from its
+    "Execution plan of Dataset ..." log records."""
+    @contextlib.contextmanager
+    def record():
+        plans: list[str] = []
+
+        class Plans(logging.Handler):
+            def emit(self, rec):
+                m = re.search(r"Execution plan of Dataset \S+: (.*)", rec.getMessage())
+                if m:
+                    plans.append(m.group(1))
+
+        lg = logging.getLogger("ray.data")
+        old, h = lg.level, Plans(logging.INFO)
+        lg.addHandler(h)
+        lg.setLevel(logging.INFO)
+        try:
+            yield plans
+        finally:
+            lg.removeHandler(h)
+            lg.setLevel(old)
+
+    return record

@@ -464,12 +464,13 @@ class TestExactNnClustered:
         via_dispatch = dedup.q_embedding_nn_dedup(SF001)
         pd.testing.assert_frame_equal(pin, via_dispatch, check_dtype=False)
 
-    def test_distributed_merge_path_identical(self):
+    def test_distributed_merge_path_identical(self, monkeypatch):
         # force the hash-groupby final merge (the >limit scale path)
         from raster_functions_ray import ann
 
         a = ann.exact_nn_clustered(SF001)
-        b = ann.exact_nn_clustered(SF001, merge_driver_limit=0)
+        monkeypatch.setattr(ann, "NN_MERGE_DRIVER_LIMIT", 0)
+        b = ann.exact_nn_clustered(SF001)
         import pandas as pd
         pd.testing.assert_frame_equal(a, b, check_dtype=False)
 
@@ -1106,8 +1107,9 @@ class TestSegmentJoinLowerings:
     def test_broadcast_and_join_lowerings_identical(self, ray_session,
                                                     monkeypatch):
         from raster_functions_ray import spatial
+        from raster_functions_ray.stages import join
 
         base = spatial.q_segment_join(SF001)       # broadcast path
-        monkeypatch.setattr(spatial, "SEGJ_BROADCAST_MAX_POINTS", 0)
+        monkeypatch.setattr(join, "BROADCAST_MAX_ROWS", 0)
         joined = spatial.q_segment_join(SF001)     # hash-join path
         pd.testing.assert_frame_equal(base, joined)

@@ -123,39 +123,20 @@ def test_storage_aligned_reads_empty(synth_sf001):
         assert len(tile_map.tile_stats(ds).to_pandas()) == 0
 
 
-def test_storage_aligned_queries_run_as_one_fused_operator(synth_sf001):
+def test_storage_aligned_queries_run_as_one_fused_operator(synth_sf001, executed_plans):
     """Read, pad or reduce, kernel and stats execute as ONE Ray Data
     operator: the plan is the input buffer and one Read…->MapBatches… map.
     A map followed by an exchange fuses into the read the same way."""
-    import logging
     import re
 
     from raster_functions_ray import analytic2
     from raster_functions_ray import rasterqueries as rq
 
-    class Plans(logging.Handler):
-        def __init__(self):
-            super().__init__(logging.INFO)
-            self.plans = []
-
-        def emit(self, record):
-            m = re.search(r"Execution plan of Dataset \S+: (.*)", record.getMessage())
-            if m:
-                self.plans.append(m.group(1))
-
     def plan_ops(q):
-        lg = logging.getLogger("ray.data")
-        old = lg.level
-        h = Plans()
-        lg.addHandler(h)
-        lg.setLevel(logging.INFO)
-        try:
+        with executed_plans() as plans:
             assert len(q(synth_sf001)) > 0
-        finally:
-            lg.removeHandler(h)
-            lg.setLevel(old)
-        assert len(h.plans) == 1, h.plans
-        return h.plans[0].split(" -> ")
+        assert len(plans) == 1, plans
+        return plans[0].split(" -> ")
 
     for q in (rq.q_hillshade_stats, rq.q_median_composite_stats,
               analytic2.q_tri_expr_exact):

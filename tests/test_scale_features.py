@@ -59,13 +59,19 @@ class TestSalting:
 class TestPartitionedResume:
     def test_resume_skips_finished(self, tmp_path, synth_sf001):
         from raster_functions_ray.pipelines import partitioned
-        r1 = partitioned.run("/root/testdata/sf0.001", str(tmp_path / "ck"), scene_ids=[0])
-        assert r1["computed"] == [0] and r1["skipped"] == []
-        r2 = partitioned.run("/root/testdata/sf0.001", str(tmp_path / "ck"), scene_ids=[0, 9])
-        assert r2["skipped"] == [0] and r2["computed"] == [9]
-        # outputs readable and row counts recorded
-        from raster_functions_ray.state.checkpoint import CheckpointStore
+        from raster_functions_ray.state.checkpoint import (CheckpointStore,
+                                                           run_partitioned)
         store = CheckpointStore(str(tmp_path / "ck"))
+
+        def scene(key):
+            return partitioned.hillshade_scene(synth_sf001, int(key.split("=")[1]))
+
+        keys1, keys2 = ["scene=0"], ["scene=0", "scene=9"]
+        w1 = run_partitioned(scene, keys1, "hillshade", store)
+        assert w1 == ["scene=0"] and [k for k in keys1 if k not in w1] == []
+        w2 = run_partitioned(scene, keys2, "hillshade", store)
+        assert [k for k in keys2 if k not in w2] == ["scene=0"] and w2 == ["scene=9"]
+        # outputs readable and row counts recorded
         t = store.read_partition("hillshade", "scene=0")
         assert t.num_rows == 16  # 4×4 tiles per scene at sf0.001
         ln = store.lineage()
@@ -288,16 +294,17 @@ class TestHotDuplicateBucket:
         out = dedup._bucket_pairs(g).to_pandas()
         assert sorted(map(tuple, out.to_numpy())) == [(1, 2), (1, 3), (2, 3)]
 
-    def test_verify_lowerings_interchangeable(self):
+    def test_verify_lowerings_interchangeable(self, monkeypatch):
         """The broadcast and hash-join text-attach lowerings of the
         distributed pair verify must be result-identical."""
         from raster_functions_ray import dedup
+        from raster_functions_ray.stages import join
 
         sf = "/root/testdata/sf0.001"
         cand = dedup.minhash_candidates(sf)
         a = dedup._verify_pairs_distributed(cand, sf, kind="char3", threshold=0.7)
-        b = dedup._verify_pairs_distributed(cand, sf, kind="char3", threshold=0.7,
-                                            broadcast_limit=0)
+        monkeypatch.setattr(join, "BROADCAST_MAX_ROWS", 0)
+        b = dedup._verify_pairs_distributed(cand, sf, kind="char3", threshold=0.7)
         assert a.equals(b)
 
     def test_pair_formation_lowerings_interchangeable(self, monkeypatch):

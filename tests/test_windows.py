@@ -210,22 +210,6 @@ class TestRound4Additions:
         assert (out["min_cents"].to_numpy()[1:]
                 >= out["max_cents"].to_numpy()[:-1]).all()  # ordered slices
 
-    def test_bloom_filter_prunes_and_never_drops(self, ray_session):
-        import numpy as np
-
-        from raster_functions_ray import relational as rel
-
-        member_keys = np.arange(0, 3000, dtype=np.int64) * 7 + 1
-        bits = np.zeros(rel.BLOOM_M, np.uint8)
-        bits[rel.bloom_positions(member_keys)] = 1
-        packed = np.packbits(bits, bitorder="little")
-        # zero false negatives (correctness invariant)
-        assert rel.bloom_member(packed, member_keys).all()
-        # false-positive rate near the theoretical (1-e^{-kn/m})^k ≈ 5e-6
-        probe = np.arange(1_000_000, 1_200_000, dtype=np.int64)
-        fp = rel.bloom_member(packed, probe).mean()
-        assert fp < 1e-3, fp
-
     def test_late_events_hand_check(self, ray_session):
         import pyarrow.parquet as pq
 
