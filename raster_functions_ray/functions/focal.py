@@ -6,7 +6,9 @@ The reference gets an extra ``padding`` halo from its host
 halo on output exactly like the reference trims ``[1:-1, 1:-1]``.
 
 ``convolve3x3`` reproduces ``scipy.ndimage.convolve`` (mode='reflect') with
-nine shifted views — vectorized, allocation-light.
+nine shifted views — vectorized, allocation-light.  The Sobel kernels of
+hillshade and aspect/slope take only its interior (``convolve3x3_interior``):
+their input already carries the halo, so they neither pad nor trim.
 """
 
 from __future__ import annotations
@@ -29,23 +31,29 @@ DEG_TO_M = 1.11e5
 
 def convolve3x3(a: np.ndarray, kernel: np.ndarray, mode: str = "reflect") -> np.ndarray:
     """scipy.ndimage.convolve-equivalent 3×3 convolution (correlation with
-    the flipped kernel), boundary ``mode`` per np.pad.
+    the flipped kernel), boundary ``mode`` per np.pad."""
+    return convolve3x3_interior(np.pad(np.asarray(a, dtype=np.float64), 1, mode=mode), kernel)
 
-    Allocation-light: one pad + one scratch buffer, in-place accumulate
-    (malloc churn is the main parallel-scaling limiter for small tiles).
+
+def convolve3x3_interior(a: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """``convolve3x3(a, kernel)[1:-1, 1:-1]`` without the pad or the trim:
+    on a tile that already carries its 1-px halo the interior's 3×3 sums
+    never read past the edge, whatever the boundary mode.
+
+    Allocation-light: one scratch buffer, in-place accumulate (malloc churn
+    is the main parallel-scaling limiter for small tiles).
     """
     a = np.asarray(a, dtype=np.float64)
-    p = np.pad(a, 1, mode=mode)
-    out = np.zeros_like(a, dtype=np.float64)
+    h, w = max(a.shape[0] - 2, 0), max(a.shape[1] - 2, 0)
+    out = np.zeros((h, w), dtype=np.float64)
     tmp = np.empty_like(out)
-    h, w = a.shape
-    # convolution flips the kernel: out[i,j] = sum k[u,v] * a[i-u+1, j-v+1]
+    # convolution flips the kernel: out[i,j] = sum k[u,v] * a[i-u+2, j-v+2]
     for u in range(3):
         for v in range(3):
             k = kernel[u, v]
             if k == 0.0:
                 continue
-            np.multiply(p[2 - u : 2 - u + h, 2 - v : 2 - v + w], k, out=tmp)
+            np.multiply(a[2 - u : 2 - u + h, 2 - v : 2 - v + w], k, out=tmp)
             np.add(out, tmp, out=out)
     return out
 
@@ -85,11 +93,11 @@ def hillshade(dem_padded: np.ndarray, mask_padded: np.ndarray, cell_size,
     sinZsinA, sinZcosA = sinZ * math.sin(A), sinZ * math.cos(A)
     p = np.multiply(_cell_xy(cell_size), DEG_TO_M if is_geographic else 1.0)
     xs, ys = (z_factor + (np.power(p, ce) * cf)) / (8 * p)
-    dx = convolve3x3(v, SOBEL_X) * xs
-    dy = convolve3x3(v, SOBEL_Y) * ys
+    dx = convolve3x3_interior(v, SOBEL_X) * xs
+    dy = convolve3x3_interior(v, SOBEL_Y) * ys
     shade = np.clip(255 * (cosZ + dy * sinZsinA - dx * sinZcosA)
                     / np.sqrt(1.0 + (dx * dx + dy * dy)), 0.0, 255.0)
-    return shade[1:-1, 1:-1], erode_mask_3x3(np.asarray(mask_padded))
+    return shade, erode_mask_3x3(np.asarray(mask_padded))
 
 
 def hillshade_kernel(pix: np.ndarray, mask: np.ndarray, meta: dict):
@@ -118,8 +126,8 @@ def multidirectional_hillshade(dem_padded: np.ndarray, mask_padded: np.ndarray,
     correctly-rounded IEEE mul/add/div/sqrt, so the analytic-world gate
     can reproduce the kernel bit-for-bit in SQL."""
     v = np.asarray(dem_padded, dtype=np.float64)
-    dxr = convolve3x3(v, SOBEL_X)
-    dyr = convolve3x3(v, SOBEL_Y)
+    dxr = convolve3x3_interior(v, SOBEL_X)
+    dyr = convolve3x3_interior(v, SOBEL_Y)
     p = np.multiply(_cell_xy(cell_size), DEG_TO_M if is_geographic else 1.0)
     xs, ys = (z_factor + (np.power(p, 0.664) * 0.024)) / (8 * p)
     dx = dxr * xs
@@ -129,8 +137,8 @@ def multidirectional_hillshade(dem_padded: np.ndarray, mask_padded: np.ndarray,
     rad = np.sqrt(1.0 + ((dx * dx) + (dy * dy)))
     Z = (90.0 - 60.0) * math.pi / 180.0
     sinZ, cosZ = math.sin(Z), math.cos(Z)
-    num = np.zeros_like(v)
-    den = np.zeros_like(v)
+    num = np.zeros_like(dxr)
+    den = np.zeros_like(dxr)
     for az in (225.0, 270.0, 315.0, 360.0):
         A = (90.0 - az) * math.pi / 180.0
         sinZsinA, sinZcosA = sinZ * math.sin(A), sinZ * math.cos(A)
@@ -141,8 +149,7 @@ def multidirectional_hillshade(dem_padded: np.ndarray, mask_padded: np.ndarray,
                         / rad, 0.0, 255.0)
         num += w * shade
         den += w
-    out = num[1:-1, 1:-1] / np.where(den[1:-1, 1:-1] == 0, 1.0,
-                                     den[1:-1, 1:-1])
+    out = num / np.where(den == 0, 1.0, den)
     return np.clip(out, 0.0, 255.0), erode_mask_3x3(np.asarray(mask_padded))
 
 
@@ -155,8 +162,8 @@ def aspect_slope(dem_padded: np.ndarray, mask_padded: np.ndarray, cell_size,
     np.select instead of the reference's chained in-place masking.
     """
     dem = np.asarray(dem_padded, dtype=np.float64)
-    delta_x = convolve3x3(dem, ASPECT_X) / 8.0
-    delta_y = convolve3x3(dem, ASPECT_Y) / 8.0
+    delta_x = convolve3x3_interior(dem, ASPECT_X) / 8.0
+    delta_y = convolve3x3_interior(dem, ASPECT_Y) / 8.0
     cx, cy = _cell_xy(cell_size)
     dx = delta_x / cx * z_factor
     dy = delta_y / cy * z_factor
@@ -172,7 +179,7 @@ def aspect_slope(dem_padded: np.ndarray, mask_padded: np.ndarray, cell_size,
         [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0], 1.0)
     final = slope_cls + asp_cls
     final = np.where((final >= 11) & (final <= 18), 19.0, final)
-    return final[1:-1, 1:-1], erode_mask_3x3(np.asarray(mask_padded))
+    return final, erode_mask_3x3(np.asarray(mask_padded))
 
 
 _BLOCK_FUNCS = {"minimum": np.min, "maximum": np.max, "mean": np.mean,

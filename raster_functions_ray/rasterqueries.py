@@ -20,7 +20,7 @@ import ray.data as rd
 from . import grid, synth
 from .functions import pointwise as pw
 from .functions import remap as rm
-from .sources import read_tiles, read_zones
+from .sources import read_table_arrow, read_tiles
 from .stages import cellindex, composite, halo, tile_map
 
 LEVEL = cellindex.DEFAULT_LEVEL
@@ -135,7 +135,7 @@ def q_zonal_remap_counts(sf_dir: str) -> pd.DataFrame:
     remap per-zone [zmin, zmax] → zval, count output classes per tile."""
     d = synth.synth_dir_for(sf_dir)
     p = synth.params_for(synth.sf_from_dir(sf_dir))
-    zones = read_zones(d).to_pandas()
+    zones = read_table_arrow(d, "zones").to_pandas()
     # zone attribute map through the feature-service-style loader (the
     # reference's ZonalAttributesTable connection, functions/utils.py:
     # 149-258 — WHERE/idList/envelope pushdown over a local parquet
@@ -181,7 +181,7 @@ def q_doc_zone_join(sf_dir: str) -> pd.DataFrame:
     from .sources import read_documents
 
     d = synth.synth_dir_for(sf_dir)
-    zones = read_zones(d).to_pandas()
+    zones = read_table_arrow(d, "zones").to_pandas()
     out = spatial.doc_points_in_zones(read_documents(d), zones).to_pandas()
     out["zone_id"] = out["zone_id"].astype("int64")
     return out.sort_values(["doc_id", "zone_id"]).reset_index(drop=True)
@@ -193,11 +193,10 @@ def q_rf_classify_stats(sf_dir: str) -> pd.DataFrame:
     """RandomForest-shaped classifier stage ([pred, p0, p1] 3-band output,
     functions/RandomForestClassifier.py:71-120; deterministic stump-ensemble
     fallback — sklearn absent in this environment)."""
-    from .sources import read_training
     from .stages.classify import classify_tiles
 
     d = synth.synth_dir_for(sf_dir)
-    training = read_training(d).to_pandas()
+    training = read_table_arrow(d, "training").to_pandas()
     tiles = read_tiles(d, bands=7)
 
     def drop_qa(p, m, meta):
@@ -1089,11 +1088,10 @@ def q_nn_neighbors_stats(sf_dir: str) -> pd.DataFrame:
     90-166): k neighbor LABELS emitted as k output bands per pixel —
     actor-pool stage, training table broadcast, fit once per actor.
     Per-tile per-band agreement stats (rows-only)."""
-    from .sources import read_training
     from .stages.classify import knn_neighbors
 
     d = synth.synth_dir_for(sf_dir)
-    training = read_training(d).to_pandas()
+    training = read_table_arrow(d, "training").to_pandas()
     feats = [f"pred_{i}" for i in range(1, 7)]
     tX = training[feats].to_numpy(dtype=np.float64)
     ty_ = training["VarToPredict"].to_numpy(dtype=np.int64)

@@ -533,10 +533,10 @@ def q_doc_zone_join_rect(sf_dir: str) -> pd.DataFrame:
     Same lowering as q_doc_zone_join, zone table filtered before the
     index is built."""
     from . import synth
-    from .sources import read_documents, read_zones
+    from .sources import read_documents, read_table_arrow
 
     d = synth.synth_dir_for(sf_dir)
-    zones = read_zones(d).to_pandas()
+    zones = read_table_arrow(d, "zones").to_pandas()
     zones = zones[zones["is_rect"]].reset_index(drop=True)
     out = doc_points_in_zones(read_documents(d), zones).to_pandas()
     out["zone_id"] = out["zone_id"].astype("int64")

@@ -104,44 +104,49 @@ def stack_reduce(tiles: rd.Dataset, reduce_fn: StackReduce,
 # ------------------------------------------------------------------------
 # Shuffle-free stack reduce from storage (the scale path): the epochs of a
 # footprint are ALREADY co-located in storage, so a read task of
-# stages/aligned.py reads one (position, ty-band) and hands it to the SAME
-# _group_reduce — bit-identical output, zero shuffle.  Partitioning
-# assumption (documented): all epochs of a footprint live in the one tiles
-# file and share the global (tx, ty) grid.  Violation degrades to a wrong
-# group (missing epochs -> n_scenes mismatch, visible in that column).
+# stages/aligned.py reads the row groups of one (position, ty-band) and
+# hands them to the SAME _group_reduce — bit-identical output, zero
+# shuffle.  Partitioning assumption (documented): all epochs of a
+# footprint live in the one tiles file and share the global (tx, ty) grid.
+# Violation degrades to a wrong group (missing epochs -> n_scenes
+# mismatch, visible in that column).
 # ------------------------------------------------------------------------
 
 def _reduce_tiles_from_parquet(path: str, scene_ids: list[int], ty_lo: int, ty_hi: int,
-                               reduce_fn: StackReduce, out_pixel_type: str | None):
-    import pyarrow.compute as pc
-    import pyarrow.parquet as pq
+                               row_groups: list[int], reduce_fn: StackReduce,
+                               out_pixel_type: str | None):
+    from .aligned import read_rows
 
-    flt = (pc.field("scene_id").isin(scene_ids)
-           & (pc.field("ty") >= ty_lo) & (pc.field("ty") < ty_hi))
-    return _group_reduce(pq.read_table(path, filters=flt), reduce_fn, out_pixel_type)
-
-
-_RG_TY = 4   # tile rows per parquet row group (synth.synth_dir)
+    return _group_reduce(read_rows(path, row_groups, scene_ids, (ty_lo, ty_hi)),
+                         reduce_fn, out_pixel_type)
 
 
-def _ty_bands(y0: int, y1: int, n: int) -> list[tuple[int, int]]:
-    """Tile rows ``[y0, y1)`` as at most ``n`` bands with edges on row group
-    boundaries, so a band's ty predicate prunes whole row groups (measured
-    10× read amplification without the alignment)."""
-    y0, y1 = int(y0), int(y1)
-    step = max(1, -(-(y1 - y0) // _RG_TY) // n) * _RG_TY
-    return [(lo, min(lo + step, y1)) for lo in range(y0, y1, step)]
+def _ty_bands(pos: pd.DataFrame, n: int) -> list[tuple[int, int, list[int]]]:
+    """A footprint position's tile rows as about ``n`` bands cut on the
+    real row-group boundaries of its scenes (``aligned.scenes`` rows), each
+    with the row groups that hold its rows.  Where a row group holds one
+    scene's whole tile rows, a band reads no pixel it drops (measured 10×
+    read amplification without the alignment)."""
+    rgs = np.concatenate([np.asarray(r, np.int64) for r in pos["row_groups"]])
+    lo = np.concatenate([np.asarray(r, np.int64) for r in pos["rg_ty0"]])
+    hi = np.concatenate([np.asarray(r, np.int64) for r in pos["rg_ty1"]]) + 1
+    edges = np.unique(lo)
+    step = max(1, edges.size // n)
+    bounds = [*edges[::step].tolist(), int(hi.max())]
+    return [(b0, b1, np.unique(rgs[(lo < b1) & (hi > b0)]).tolist())
+            for b0, b1 in zip(bounds[:-1], bounds[1:])]
 
 
 def stack_reduce_from_parquet(tiles_path: str, reduce_fn: StackReduce,
                               out_pixel_type: str | None = None,
                               bands: int | None = None,
                               acq_window: tuple | None = None) -> rd.Dataset:
-    """Zero-shuffle stack_reduce: one read task per (position, ty-band),
-    pruned parquet read + reduce, one block per task; output identical to
-    stack_reduce() (gate: tests/test_raster_pipelines.py equality test).
+    """Zero-shuffle stack_reduce: one read task per (position, ty-band), a
+    read of the band's row groups + reduce, one block per task; output
+    identical to stack_reduce() (gate: tests/test_raster_pipelines.py
+    equality test).
 
-    ``acq_window=(lo, hi)`` prunes whole SCENES at the metadata read —
+    ``acq_window=(lo, hi)`` prunes whole SCENES at the key-column read —
     filtered epochs' pixels never leave storage (vs the Dataset-side
     filter, which reads then drops them)."""
     from ..sources import cluster_cpus
@@ -154,9 +159,9 @@ def stack_reduce_from_parquet(tiles_path: str, reduce_fn: StackReduce,
     positions = [pos for _, pos in sc.groupby(["tx0", "ty0"])]
     # about two read tasks per CPU, at least one per position
     n = max(1, (2 * cluster_cpus()) // max(1, len(positions)))
-    units = [(tiles_path, [int(s) for s in pos["scene_id"]], lo, hi, reduce_fn, out_pixel_type)
-             for pos in positions
-             for lo, hi in _ty_bands(pos["ty0"].iloc[0], pos["ty1"].max() + 1, n)]
+    units = [(tiles_path, [int(s) for s in pos["scene_id"]], lo, hi, rgs, reduce_fn,
+              out_pixel_type)
+             for pos in positions for lo, hi, rgs in _ty_bands(pos, n)]
     return aligned.read_units("StackReduce", _reduce_tiles_from_parquet, units)
 
 

@@ -225,24 +225,24 @@ def pad_scene_group(g: "pa.Table", padding: int) -> "pa.Table":
 
 # ------------------------------------------------------------------------
 # Shuffle-free halo from storage (SURVEY.md §2.7(c)): scenes are ALREADY
-# co-located in storage, so a read task of stages/aligned.py pads one whole
-# scene as it reads.  A violated partitioning assumption degrades to an
-# error (incomplete scene -> dense-rectangle check), never to wrong pixels.
+# co-located in storage, so a read task of stages/aligned.py reads one whole
+# scene's row groups and pads the scene as it reads.  A violated
+# partitioning assumption degrades to an error (incomplete scene ->
+# dense-rectangle check), never to wrong pixels.
 # ------------------------------------------------------------------------
 
-def _pad_scene_from_parquet(path: str, scene_id: int, padding: int) -> pa.Table:
-    import pyarrow.compute as pc
-    import pyarrow.parquet as pq
+def _pad_scene_from_parquet(path: str, scene_id: int, row_groups: list[int],
+                            padding: int) -> pa.Table:
+    from .aligned import read_rows
 
-    return pad_scene_group(pq.read_table(path, filters=pc.field("scene_id") == scene_id),
-                           padding)
+    return pad_scene_group(read_rows(path, row_groups, [scene_id]), padding)
 
 
 def with_halo_from_parquet(tiles_path: str, padding: int = 1, bands: int | None = None,
                            scene_ids: list[int] | None = None) -> rd.Dataset:
-    """Zero-shuffle halo: one read task per scene, pruned parquet read +
-    pad, one block of padded tiles per task.  Output identical to
-    with_halo() (gate: tests/test_raster_pipelines.py).
+    """Zero-shuffle halo: one read task per scene, a read of the scene's
+    row groups + pad, one block of padded tiles per task.  Output identical
+    to with_halo() (gate: tests/test_raster_pipelines.py).
 
     ``scene_ids`` restricts padding to those scenes — dropped scenes'
     pixels are never read, decoded or padded (a post-hoc Dataset filter
@@ -252,5 +252,6 @@ def with_halo_from_parquet(tiles_path: str, padding: int = 1, bands: int | None 
     sc = aligned.scenes(tiles_path, bands)
     if scene_ids is not None:
         sc = sc[sc["scene_id"].isin(scene_ids)]
-    units = [(tiles_path, int(s), padding) for s in sc["scene_id"]]
+    units = [(tiles_path, int(s), rgs, padding)
+             for s, rgs in zip(sc["scene_id"], sc["row_groups"])]
     return aligned.read_units("HaloScenes", _pad_scene_from_parquet, units)

@@ -355,9 +355,9 @@ def synth_dir(sf: float) -> str:
     os.replace; a lost race leaves the winner's cache untouched.
 
     Tile row groups are 4 tile-rows tall (and never straddle scenes, which
-    divide evenly): ty-range predicates then prune at row-group granularity,
-    which the storage-aligned readers (stages/halo.py, stages/composite.py
-    stack_reduce_from_parquet) rely on to avoid decoding pixels they drop."""
+    divide evenly): the storage-aligned readers (stages/aligned.py) then
+    read whole row groups of one unit and filter nothing; they take the
+    boundaries from the file, so other layouts stay correct, only slower."""
     import shutil
     import uuid
 

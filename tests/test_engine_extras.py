@@ -347,11 +347,11 @@ class TestReviewRegressionFixes:
         import ray
 
         from raster_functions_ray import synth
-        from raster_functions_ray.sources import read_tiles, read_training
+        from raster_functions_ray.sources import read_table_arrow, read_tiles
         from raster_functions_ray.stages.classify import classify_tiles
 
         d = synth.synth_dir(0.001)
-        training = read_training(d).to_pandas()
+        training = read_table_arrow(d, "training").to_pandas()
         tiles = read_tiles(d, bands=1).limit(4)
         out = classify_tiles(tiles, training, model="rf", batch_size=4,
                              concurrency=1).to_pandas()

@@ -30,6 +30,42 @@ class TestConvolve:
         exp = sum(k[u, v] * a[3 - 1 + u, 3 - 1 + v] for u in range(3) for v in range(3))
         assert out[3, 3] == pytest.approx(exp)
 
+    @staticmethod
+    def _convolve3x3_pad_then_trim(a, kernel):
+        """Reference: the reflect-padded full-frame convolution the Sobel
+        kernels ran before they computed the interior only, then trimmed."""
+        p = np.pad(a, 1, mode="reflect")
+        out = np.zeros_like(a)
+        tmp = np.empty_like(out)
+        h, w = a.shape
+        for u in range(3):
+            for v in range(3):
+                if kernel[u, v] == 0.0:
+                    continue
+                np.multiply(p[2 - u:2 - u + h, 2 - v:2 - v + w], kernel[u, v], out=tmp)
+                np.add(out, tmp, out=out)
+        return out[1:-1, 1:-1]
+
+    @settings(max_examples=64, deadline=None)
+    @given(tile=hnp.arrays(np.float32, hnp.array_shapes(min_dims=2, max_dims=2, min_side=3,
+                                                        max_side=40),
+                           elements=hs.floats(-1e4, 1e4, width=32)),
+           cell=hs.sampled_from([(30.0, 30.0), (1.0, 2.5), (2.7e-4, 2.7e-4)]))
+    def test_interior_equals_pad_then_trim(self, tile, cell):
+        """Byte equality of the interior-only Sobel forms against the
+        pad-then-trim forms: the convolution itself, and each kernel run
+        over a reflect-padded frame whose border ring is then dropped."""
+        v = tile.astype(np.float64)
+        for k in (fc.SOBEL_X, fc.SOBEL_Y, fc.ASPECT_X, fc.ASPECT_Y):
+            assert (fc.convolve3x3_interior(v, k).tobytes()
+                    == self._convolve3x3_pad_then_trim(v, k).tobytes())
+        m = (np.abs(tile) > 10).astype(np.uint8)
+        for kernel in (fc.hillshade, fc.multidirectional_hillshade, fc.aspect_slope):
+            out, om = kernel(tile, m, cell)
+            ref, ref_m = kernel(np.pad(v, 1, mode="reflect"), np.pad(m, 1), cell)
+            assert out.tobytes() == ref[1:-1, 1:-1].tobytes()
+            assert om.tobytes() == ref_m[1:-1, 1:-1].tobytes()
+
 
 class TestHillshade:
     def test_analytic_plane(self):

@@ -232,20 +232,26 @@ def _hand_tiles(rows):
     return pa.Table.from_pylist(recs, schema=TILE_SCHEMA)
 
 
+def _newest_first_tiles(tmp_path):
+    """Three epochs of one footprint (scenes 0-2) covering ty 0-1 and 8-9;
+    scene 2 is missing (tx 1, ty 0), so that group is only 2 deep.  The
+    rows are stored newest epoch first, so a reduce must reorder them, in
+    row groups of 8 rows, which straddle scenes."""
+    rows = [(sid, tx, ty, sid) for sid in (2, 1, 0) for tx in (0, 1)
+            for ty in (0, 1, 8, 9) if (sid, tx, ty) != (2, 1, 0)]
+    table = _hand_tiles(rows)
+    path = str(tmp_path / "tiles.parquet")
+    pq.write_table(table, path, row_group_size=8)
+    return path, table
+
+
 def test_stack_reduce_multi_group_task(tmp_path):
     """One read task reduces many (tx, ty) groups at once: groups of unequal
     depth keep their own n_scenes, and an empty ty-band yields a 0-row block
     with the reduced blocks' schema."""
     import ray.data as rd
 
-    # three epochs of one footprint (scenes 0-2) covering ty 0-1 and 8-9;
-    # scene 2 is missing (tx 1, ty 0), so that group is only 2 deep.  The
-    # rows are stored newest epoch first, so the reduce must reorder them.
-    rows = [(sid, tx, ty, sid) for sid in (2, 1, 0) for tx in (0, 1)
-            for ty in (0, 1, 8, 9) if (sid, tx, ty) != (2, 1, 0)]
-    table = _hand_tiles(rows)
-    path = str(tmp_path / "tiles.parquet")
-    pq.write_table(table, path, row_group_size=8)
+    path, table = _newest_first_tiles(tmp_path)
     for reduce_fn in (composite.aggregate_reduce("Sum"),
                       composite.percentile_reduce(qa_band=1, pct=50.0)):
         via_parquet = composite.stack_reduce_from_parquet(path, reduce_fn, out_pixel_type="f8")
@@ -258,8 +264,9 @@ def test_stack_reduce_multi_group_task(tmp_path):
         assert all(r["scene_id"] == 0 for r in b.values())
 
     fn = composite.aggregate_reduce("Sum")
-    full = composite._reduce_tiles_from_parquet(path, [0, 1, 2], 0, 4, fn, "f8")
-    empty = composite._reduce_tiles_from_parquet(path, [0, 1, 2], 4, 8, fn, "f8")
+    every_rg = list(range(pq.ParquetFile(path).num_row_groups))
+    full = composite._reduce_tiles_from_parquet(path, [0, 1, 2], 0, 4, every_rg, fn, "f8")
+    empty = composite._reduce_tiles_from_parquet(path, [0, 1, 2], 4, 8, every_rg, fn, "f8")
     assert full.num_rows == 4 and empty.num_rows == 0
     assert empty.schema == full.schema
     assert full["ty"].to_pylist() == [0, 0, 1, 1] and full["tx"].to_pylist() == [0, 1, 0, 1]
@@ -267,6 +274,82 @@ def test_stack_reduce_multi_group_task(tmp_path):
                  for p in table.filter(np.asarray(table["tx"]) + np.asarray(table["ty"]) == 0)["pixels"]
                  .to_pylist())
     assert full["pixels"][0].as_py() == tilecodec.encode(expect)
+
+
+def _aligned_files(tmp_path):
+    """(path, bands, aggregates) of every storage-aligned input the planner
+    and reader tests check: the sf0.01 tiles and analytic files, and the
+    hand-written file whose row groups straddle scenes."""
+    d = synth.synth_dir(0.01)
+    first_acq = {"acq_ts": ("acq_ts", "first")}
+    return [(f"{d}/tiles.parquet", 1, {}), (f"{d}/tiles.parquet", 7, first_acq),
+            (f"{d}/tiles.parquet", None, first_acq), (f"{d}/analytic.parquet", 2, first_acq),
+            (_newest_first_tiles(tmp_path)[0], None, first_acq)]
+
+
+def _row_groups_of_rows(path):
+    """Every row's key columns with the id of the row group that holds it."""
+    md = pq.read_metadata(path)
+    t = pq.read_table(path, columns=["scene_id", "band_count", "tx", "ty", "acq_ts"]).to_pandas()
+    t["rg"] = np.repeat(np.arange(md.num_row_groups),
+                        [md.row_group(i).num_rows for i in range(md.num_row_groups)])
+    return t
+
+
+def test_aligned_scenes_equals_pandas_groupby(tmp_path):
+    """The planner's Arrow aggregate over one key-column read gives the
+    frame of the pandas groupby it replaced, plus each scene's row groups
+    with the first and last tile row it has in each."""
+    from raster_functions_ray.stages import aligned
+
+    for path, bands, agg in _aligned_files(tmp_path):
+        mdf = _row_groups_of_rows(path)
+        if bands is not None:
+            mdf = mdf[mdf["band_count"] == bands]
+        # the reference: the planner's former pandas groupby
+        ref = mdf.groupby("scene_id").agg(tx0=("tx", "min"), ty0=("ty", "min"),
+                                          ty1=("ty", "max"), **agg).reset_index()
+        parts = mdf.groupby(["scene_id", "rg"])["ty"].agg(["min", "max"]).reset_index()
+        got = aligned.scenes(path, bands, **agg)
+        assert list(got.columns) == [*ref.columns, "row_groups", "rg_ty0", "rg_ty1"]
+        pd.testing.assert_frame_equal(got[ref.columns], ref)
+        for name, col in (("row_groups", "rg"), ("rg_ty0", "min"), ("rg_ty1", "max")):
+            assert got[name].tolist() == [parts.loc[parts["scene_id"] == s, col].tolist()
+                                          for s in ref["scene_id"]], (path, name)
+
+
+def test_aligned_units_read_exactly_their_row_groups(tmp_path, monkeypatch):
+    """Every halo and stack unit's row-group read equals the filtered
+    parquet read of its rows, and reads only the row groups that hold them
+    (2 of the 54 row groups of the sf0.01 tiles file for a DEM scene)."""
+    import pyarrow.compute as pc
+
+    from raster_functions_ray.stages import aligned
+
+    planned = []
+    monkeypatch.setattr(aligned, "read_units", lambda name, fn, units: planned.extend(units))
+    for path, bands, _ in _aligned_files(tmp_path):
+        halo.with_halo_from_parquet(path, padding=1, bands=bands)
+        composite.stack_reduce_from_parquet(path, composite.aggregate_reduce("Sum"), bands=bands)
+    assert len(planned) > 50
+    tiles = f"{synth.synth_dir(0.01)}/tiles.parquet"
+    dem = {u[1]: u[2] for u in planned if len(u) == 4 and u[0] == tiles}
+    assert len(dem[0]) == 2 and pq.read_metadata(tiles).num_row_groups == 54
+    for u in planned:
+        if len(u) == 4:   # halo: (path, scene, row groups, padding)
+            path, sids, rgs, ty_range = u[0], [u[1]], u[2], None
+            flt = pc.field("scene_id") == u[1]
+        else:             # stack: (path, scenes, ty_lo, ty_hi, row groups, ...)
+            path, sids, ty_range, rgs = u[0], u[1], (u[2], u[3]), u[4]
+            flt = (pc.field("scene_id").isin(sids) & (pc.field("ty") >= u[2])
+                   & (pc.field("ty") < u[3]))
+        assert aligned.read_rows(path, rgs, sids, ty_range).equals(
+            pq.read_table(path, filters=flt)), u[:4]
+        rows = _row_groups_of_rows(path)
+        hit = rows["scene_id"].isin(sids)
+        if ty_range is not None:
+            hit &= (rows["ty"] >= ty_range[0]) & (rows["ty"] < ty_range[1])
+        assert rgs == sorted(set(rows.loc[hit, "rg"])), u[:4]
 
 
 def test_stack_reduce_from_parquet_acq_window(synth_sf001):
