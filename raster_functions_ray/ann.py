@@ -15,7 +15,9 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
+from . import synth
 from .sources import read_table
+from .stages.join import merge_by_key
 
 N_QUERIES = 3  # queries are embeddings of vec_id 0..N_QUERIES-1
 TOP_K = 5
@@ -264,7 +266,7 @@ def ivf_build(sf_dir: str, concurrency: int = 4) -> tuple[np.ndarray, str]:
     st = os.stat(src)
     fp = f"{st.st_size}_{st.st_mtime_ns}"  # ns: same-second rewrites must miss
     index_dir = os.path.join(
-        "/tmp/rfr_ivf",
+        synth.CACHE_ROOT, "ivf",
         f"v3_{os.path.basename(os.path.normpath(sf_dir))}_k{N_CLUSTERS}_{fp}")
     cent_path = os.path.join(index_dir, "centroids.npy")
     if os.path.exists(os.path.join(index_dir, "_DONE")):
@@ -442,7 +444,7 @@ def _build_list_index(sf_dir: str, tag: str, encode_fn) -> str:
     src = f"{sf_dir}/embeddings.parquet"
     st = os.stat(src)
     index_dir = os.path.join(
-        "/tmp/rfr_ivf",
+        synth.CACHE_ROOT, "ivf",
         f"{tag}_{os.path.basename(os.path.normpath(sf_dir))}"
         f"_{st.st_size}_{st.st_mtime_ns}")
     if not os.path.exists(os.path.join(index_dir, "_DONE")):
@@ -878,7 +880,6 @@ ORDER BY f.vec_id
 # (~1e-8 absolute error), so the bound gets 1e-6 of slack — slack only
 # ADDS probes; it can never prune a cluster holding the true neighbor
 NN_ANGLE_SLACK = 1e-6
-NN_MERGE_DRIVER_LIMIT = 2_000_000
 
 
 def exact_nn_clustered(sf_dir: str) -> pd.DataFrame:
@@ -900,8 +901,9 @@ def exact_nn_clustered(sf_dir: str) -> pd.DataFrame:
        win the tie-break);
     5. probes shuffle to their target clusters (bounded fan-out), each
        returns lex-max(carried best, best member); a final per-vec lex
-       merge (driver-vectorized below `NN_MERGE_DRIVER_LIMIT`, hash-groupby
-       beyond) yields the unique global argmax with min-id tie-break.
+       merge (`stages.join.merge_by_key`: driver-vectorized within the
+       driver budget, hash-groupby beyond) yields the unique global argmax
+       with min-id tie-break.
 
     Every exchange is cluster- or probe-sized; the only driver state is
     K centroids + K radii.
@@ -1059,29 +1061,19 @@ def exact_nn_clustered(sf_dir: str) -> pd.DataFrame:
     cand = probed.union(finals).materialize()
 
     # ---- final per-vec lex-max merge (size-dispatched) -------------------
-    def lex_first(vid, sim, nid):
+    def lex_first(t: pa.Table) -> pa.Table:
+        vid = np.asarray(t["vec_id"], np.int64)
+        sim = np.asarray(t["sim"], np.float64)
+        nid = np.asarray(t["nn_id"], np.int64)
         order = np.lexsort((nid, -sim, vid))
-        v, s, i = vid[order], sim[order], nid[order]
-        first = np.r_[True, v[1:] != v[:-1]]
-        return pd.DataFrame({"vec_id": v[first], "nn_vec_id": i[first]})
+        v, i = vid[order], nid[order]
+        first = np.ones(v.size, bool)
+        first[1:] = v[1:] != v[:-1]
+        return pa.table({"vec_id": v[first], "nn_vec_id": i[first]})
 
-    if cand.count() <= NN_MERGE_DRIVER_LIMIT:
-        vs, ss, ns = [], [], []
-        for blk in cand.iter_batches(batch_format="pandas"):
-            vs.append(blk["vec_id"].to_numpy(np.int64))
-            ss.append(blk["sim"].to_numpy())
-            ns.append(blk["nn_id"].to_numpy(np.int64))
-        out = lex_first(np.concatenate(vs), np.concatenate(ss),
-                        np.concatenate(ns))
-    else:
-        # scale path: candidate rows per vec are few (1 + probes), so the
-        # hash groupby keeps groups tiny; a per-block partial lex_first
-        # before it would bound the shuffle further if fan-out grew
-        out = (cand.groupby("vec_id", num_partitions=8)
-               .map_groups(lambda g: lex_first(
-                   g["vec_id"].to_numpy(np.int64), g["sim"].to_numpy(),
-                   g["nn_id"].to_numpy(np.int64)), batch_format="pandas")
-               .to_pandas())
+    # candidate rows per vec are few (1 + probes), so the scale arm's
+    # groups stay tiny
+    out = merge_by_key(cand, "vec_id", lex_first, cand.size_bytes())
     return out.sort_values("vec_id").reset_index(drop=True)
 
 

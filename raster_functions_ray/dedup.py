@@ -21,6 +21,7 @@ import pyarrow as pa
 from ray.data.aggregate import Count, Min, Sum
 
 from .sources import read_table
+from .stages import join
 from .textops import tokenize
 
 # ------------------------------------------------------------------ exact
@@ -239,29 +240,20 @@ def minhash_batch(b: pa.Table) -> pa.Table:
 
 PAIR_CAP = 256  # max bucket size that emits all-pairs candidates
 
-# corpus rows above which q_embedding_nn_dedup dispatches from the exact
-# broadcast-matmul pin to ann.exact_nn_clustered (same output, same SQL
-# oracle — k-means ball pruning, no corpus broadcast); 200k rows of
-# 64-dim f8 ≈ 100 MB, the sensible ray.put ceiling for a per-task side
-NN_BROADCAST_LIMIT = 200_000
-
-# survivor-row count below which per-bucket pair formation runs vectorized
-# on the DRIVER (collision rows are 16 bytes each → 32 MB at the limit;
-# the exact survivor size is known from the Count aggregate BEFORE the
-# dispatch, so the scale path is never guessed).  Saves the two
-# collision-sized exchanges (bucket groupby + pair-distinct groupby) that
-# cost ~1s each of fixed Ray machinery regardless of data size.
-DRIVER_PAIR_LIMIT = 2_000_000
-
-
-def _driver_bucket_pairs(keys: np.ndarray, docs: np.ndarray,
-                         cap: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """Per-bucket pair formation over COLLISION-sized survivor rows on the
-    driver: one lexsort, then a loop over the (few) colliding buckets —
-    the loop count is the HOT-BUCKET count, never the corpus.  Identical
-    semantics to _bucket_pairs/_bucket_pairs_all: unique doc ids per
-    bucket, all-pairs up to ``cap``, star-to-min beyond it (cap=None
-    disables the star cap — the SQL-exact uncapped form)."""
+def _bucket_pairs(t: pa.Table, key: str, cap: int | None) -> pa.Table:
+    """Candidate pairs (doc_a < doc_b) within every ``key`` bucket of the
+    (``key``, doc_id) rows ``t``: one lexsort, then a loop over the
+    colliding buckets — the loop count is the HOT-BUCKET count, never the
+    corpus.  Unique doc ids per bucket, all-pairs up to ``cap``; a bucket
+    larger than ``cap`` is star-paired to its min doc_id instead, because
+    one viral duplicate (say 10⁶ copies of a page) would otherwise emit
+    O(n²) pairs from a single bucket.  The star keeps every member one
+    verified edge away from the bucket minimum — connected components
+    downstream (trainprep.connected_components) recovers the identical
+    full cluster — while the emitted pair count stays linear.
+    ``cap=None`` disables the star (the SQL-exact uncapped form)."""
+    keys = np.asarray(t[key], np.int64)
+    docs = np.asarray(t["doc_id"], np.int64)
     order = np.lexsort((docs, keys))
     k, d = keys[order], docs[order]
     first = np.ones(k.size, bool)
@@ -270,7 +262,7 @@ def _driver_bucket_pairs(keys: np.ndarray, docs: np.ndarray,
     starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]]) if k.size else \
         np.empty(0, np.int64)
     ends = np.r_[starts[1:], k.size] if k.size else np.empty(0, np.int64)
-    a_parts, b_parts = [], []
+    a_parts, b_parts = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
     for s, e in zip(starts, ends):
         n = int(e - s)
         if n < 2:
@@ -283,48 +275,59 @@ def _driver_bucket_pairs(keys: np.ndarray, docs: np.ndarray,
             ii, jj = np.triu_indices(n, k=1)
             a_parts.append(ids[ii])
             b_parts.append(ids[jj])
-    if not a_parts:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    return np.concatenate(a_parts), np.concatenate(b_parts)
+    return pa.table({"doc_a": np.concatenate(a_parts),
+                     "doc_b": np.concatenate(b_parts)})
 
 
-def _pair_struct(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    pr = np.empty(a.size, dtype=[("a", np.int64), ("b", np.int64)])
-    pr["a"], pr["b"] = a, b
-    return pr
+def _lsh_pairs(banded, key: str, cap: int | None, count: str | None):
+    """Distinct candidate pairs (doc_a < doc_b) of the LSH buckets of the
+    (doc_id, ``key``) rows ``banded``, as a Dataset: native Count
+    aggregate → tiny colliding-key set → broadcast semi-join filter →
+    ``_bucket_pairs`` over the (small) surviving rows only.  Almost every
+    bucket is a singleton, so a Python map_groups over every bucket would
+    be O(corpus) Python-call overhead.
 
+    The survivors are 16-byte rows whose exact count the Count aggregate
+    gives before anything is pulled: within the driver budget they pair
+    on the driver, saving the two collision-sized exchanges (bucket
+    groupby + pair-distinct groupby); above it each bucket pairs in a
+    map_groups, so a viral duplicate's million-row bucket streams through
+    a worker.  ``count`` names a column holding the number of buckets
+    that emit each pair (``None``: no such column)."""
+    import ray
+    import ray.data as rd
 
-def _bucket_pairs(g: pd.DataFrame) -> pa.Table:
-    """Candidate pairs within one LSH bucket.  Buckets larger than
-    PAIR_CAP are star-paired to the min doc_id instead of all-pairs: one
-    viral duplicate (say 10⁶ copies of a page) would otherwise emit O(n²)
-    pairs from a single bucket.  The star keeps every member one verified
-    edge away from the bucket minimum — connected components downstream
-    (trainprep.connected_components) recovers the identical full cluster —
-    while the emitted pair count stays linear."""
-    ids = np.unique(g["doc_id"].to_numpy(np.int64))
-    if ids.size < 2:
-        return pa.table({"doc_a": pa.array([], pa.int64()),
-                         "doc_b": pa.array([], pa.int64())})
-    if ids.size <= PAIR_CAP:
-        ii, jj = np.triu_indices(ids.size, k=1)
-        return pa.table({"doc_a": pa.array(ids[ii]), "doc_b": pa.array(ids[jj])})
-    return pa.table({"doc_a": pa.array(np.full(ids.size - 1, ids[0])),
-                     "doc_b": pa.array(ids[1:])})
+    cols = ["doc_a", "doc_b"] + ([count] if count else [])
+    hot = (banded.groupby(key).aggregate(Count(alias_name="n"))
+           .filter(expr="n >= 2").to_pandas())  # collisions are rare → small
+    if hot.empty:
+        return rd.from_arrow(pa.table({c: pa.array([], pa.int64()) for c in cols}))
+    keys_ref = ray.put(pa.array(hot[key].to_numpy(), pa.int64()))
+
+    def keep_colliding(b: pa.Table) -> pa.Table:
+        import pyarrow.compute as pc
+        return b.filter(pc.is_in(b[key], value_set=ray.get(keys_ref)))
+
+    survivors = banded.map_batches(keep_colliding, batch_format="pyarrow")
+    if int(hot["n"].sum()) * 16 <= join.DRIVER_MAX_BYTES:
+        p = _bucket_pairs(pa.concat_tables(survivors.iter_batches(
+            batch_format="pyarrow", batch_size=None)), key, cap)
+        pr = np.empty(p.num_rows, dtype=[("a", np.int64), ("b", np.int64)])
+        pr["a"], pr["b"] = np.asarray(p["doc_a"]), np.asarray(p["doc_b"])
+        uq, nb = np.unique(pr, return_counts=True)
+        return rd.from_arrow(pa.table(dict(zip(cols, (uq["a"], uq["b"], nb)))))
+    nparts = max(2, min(8, len(hot) // 1024 + 2))
+    return (survivors.groupby(key, num_partitions=nparts)
+            .map_groups(lambda g: _bucket_pairs(g, key, cap), batch_format="pyarrow")
+            .groupby(["doc_a", "doc_b"], num_partitions=nparts)
+            .aggregate(Count(alias_name=count or "n"))
+            .select_columns(cols))
 
 
 def minhash_candidates(sf_dir: str, concurrency: int = 4):
     """LSH bucket join: (band, band_hash) buckets with ≥2 docs → candidate
-    pair Dataset (doc_a < doc_b), deduplicated across bands.
-
-    Scale shape: almost every bucket is a singleton, so running a Python
-    map_groups over every bucket is O(corpus) Python-call overhead.  Instead:
-    native Count aggregate → tiny colliding-key set → broadcast semi-join
-    filter → distributed per-bucket pair formation (star-capped, see
-    _bucket_pairs) only over the (small) surviving rows."""
-    import ray
-    import ray.data as rd
-
+    pair Dataset (doc_a < doc_b), deduplicated across bands, star-capped
+    at PAIR_CAP (``_lsh_pairs``)."""
     # the read auto-splits its single-row-group output into ~2×CPUs blocks
     # (ReadParquet→SplitBlocks, a LOCAL split — measured 64 blocks at 32
     # CPUs), so the signature tasks parallelize with no repartition pass;
@@ -341,49 +344,7 @@ def minhash_candidates(sf_dir: str, concurrency: int = 4):
     # 1.6s vs 1.9s at sf0.1 (64 near-empty sort-aggregate blocks vs 16)
     banded = banded.repartition(16).materialize()
 
-    counts = banded.groupby("band_hash").aggregate(Count(alias_name="n"))
-    hot = counts.filter(expr="n >= 2").to_pandas()  # collisions are rare → small
-    if hot.empty:
-        return rd.from_arrow(pa.table({"doc_a": pa.array([], pa.int64()),
-                                       "doc_b": pa.array([], pa.int64())}))
-    # band index is folded into band_hash (MinHasher), so the single int64
-    # key set suffices; filter is a vectorized Arrow is_in, not a Python loop
-    hot_arr = pa.array(hot["band_hash"].to_numpy(), pa.int64())
-    keys_ref = ray.put(hot_arr)
-
-    def keep_colliding(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        return b.filter(pc.is_in(b["band_hash"], value_set=ray.get(keys_ref)))
-
-    survivors = banded.map_batches(keep_colliding, batch_format="pyarrow")
-    n_surv = int(hot["n"].sum())  # exact survivor size, known pre-dispatch
-    if n_surv <= DRIVER_PAIR_LIMIT:
-        # fast path: survivor rows are collision-sized (16 B each, ≤32 MB
-        # at the limit) — pull them and form pairs vectorized on the
-        # driver, saving the two collision-sized exchanges whose ~1s/ea
-        # fixed machinery cost dominates at any data size
-        ks, ds_ = [], []
-        for blk in survivors.iter_batches(batch_format="pyarrow"):
-            ks.append(np.asarray(blk["band_hash"], np.int64))
-            ds_.append(np.asarray(blk["doc_id"], np.int64))
-        a, b = _driver_bucket_pairs(np.concatenate(ks), np.concatenate(ds_),
-                                    cap=PAIR_CAP)
-        uq = np.unique(_pair_struct(a, b))
-        return rd.from_arrow(pa.table({"doc_a": pa.array(uq["a"]),
-                                       "doc_b": pa.array(uq["b"])}))
-    # scale path: pair formation runs DISTRIBUTED over the colliding
-    # buckets — a map_groups per bucket, never a driver loop: a viral
-    # duplicate producing one million-row bucket streams through a
-    # worker, and the star cap bounds its pair fan-out linearly (see
-    # _bucket_pairs).  Hash groupby with explicit num_partitions replaces
-    # the former repartition→groupby chains (half the exchanges).
-    nparts = max(2, min(8, len(hot) // 1024 + 2))
-    pairs = (survivors.groupby("band_hash", num_partitions=nparts)
-             .map_groups(_bucket_pairs, batch_format="pandas")
-             .groupby(["doc_a", "doc_b"], num_partitions=nparts)
-             .aggregate(Count(alias_name="nb"))
-             .select_columns(["doc_a", "doc_b"]))
-    return pairs.materialize()
+    return _lsh_pairs(banded, "band_hash", PAIR_CAP, None).materialize()
 
 
 def jaccard(a: str, b: str, k: int = 3) -> float:
@@ -638,7 +599,8 @@ def q_embedding_nn_dedup(sf_dir: str) -> pd.DataFrame:
     vectors only) — this query pins the exact semantics that approximation
     is measured against (ann tests assert IVF recall).
 
-    Above NN_BROADCAST_LIMIT corpus rows the SAME query dispatches to
+    Once the corpus matrix (footer rows × (8 + 8·KM_DIM) bytes) exceeds
+    the driver budget the SAME query dispatches to
     ann.exact_nn_clustered — k-means ball pruning, identical output,
     shared SQL oracle (the interchangeable-lowerings discipline) — so no
     unconditional corpus broadcast remains at any scale."""
@@ -647,8 +609,7 @@ def q_embedding_nn_dedup(sf_dir: str) -> pd.DataFrame:
     from raster_functions_ray import ann
 
     from .sources import read_table, read_table_arrow, table_rows
-
-    if table_rows(sf_dir, "embeddings") > NN_BROADCAST_LIMIT:
+    if table_rows(sf_dir, "embeddings") * (8 + 8 * ann.KM_DIM) > join.DRIVER_MAX_BYTES:
         return ann.exact_nn_clustered(sf_dir)
 
     # same dispatch as the probe-side scan: corpus and probes must come
@@ -788,15 +749,11 @@ def q_ngram_jaccard(sf_dir: str, threshold: float = JACCARD_TAU) -> pd.DataFrame
     Hash collisions could in principle perturb candidate generation
     (~|shingles|²/2⁶⁴ — ignored); the verify step is collision-free
     (string sets), so emitted pairs are always exact."""
-    import pyarrow.compute as pc
-
-    from .sources import join_partitions
-
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
     sh = (ds.map_batches(_word_shingle_rows, batch_format="pyarrow", batch_size=4096)
           .repartition(8).materialize())
     df = sh.groupby("s").aggregate(Count(alias_name="df"))
-    joined = sh.join(df, join_type="inner", num_partitions=join_partitions(), on=("s",))
+    joined = join.hash_join(sh, df, "s", "inner")
     prefix = (joined.groupby("doc_id").map_groups(_prefix_select, batch_format="pandas")
               .materialize())
     # pair generation as a hash SELF-JOIN on the prefix shingle (vectorized
@@ -808,8 +765,7 @@ def q_ngram_jaccard(sf_dir: str, threshold: float = JACCARD_TAU) -> pd.DataFrame
     right = prefix.map_batches(
         lambda b: b.rename_columns(["s", "doc_b", "pos_b", "n_b"]),
         batch_format="pyarrow", zero_copy_batch=True)
-    pairs = (left.join(right, join_type="inner",
-                       num_partitions=join_partitions(), on=("s",))
+    pairs = (join.hash_join(left, right, "s", "inner")
              .map_batches(_pair_filter, batch_format="pyarrow", batch_size=65536))
     cand = (pairs.groupby(["doc_a", "doc_b"]).aggregate(Count(alias_name="cnt"))
             .select_columns(["doc_a", "doc_b"]))
@@ -916,71 +872,20 @@ def _mhx_band_rows(b: pa.Table) -> pa.Table:
                      "bk64": pa.array(bk64, pa.int64())})
 
 
-def _bucket_pairs_all(g: pd.DataFrame) -> pa.Table:
-    """All-pairs within one bucket — the UNcapped form the SQL oracle
-    mirrors (q_minhash_dedup's production path star-caps at PAIR_CAP;
-    this gate must emit the exact pair set, and collisions here are
-    verified-small because exact duplicates dominate the buckets)."""
-    ids = np.unique(g["doc_id"].to_numpy(np.int64))
-    if ids.size < 2:
-        return pa.table({"doc_a": pa.array([], pa.int64()),
-                         "doc_b": pa.array([], pa.int64())})
-    ii, jj = np.triu_indices(ids.size, k=1)
-    return pa.table({"doc_a": pa.array(ids[ii]), "doc_b": pa.array(ids[jj])})
-
-
 def q_minhash_lsh_exact(sf_dir: str) -> pd.DataFrame:
     """SQL-exact MinHash-LSH candidate generation: distinct candidate
     pairs with the number of agreeing bands.  Same distributed shape as
     minhash_candidates (Count aggregate → broadcast colliding-key filter
     → per-bucket pair formation → pair-distinct groupby); the Count per
     pair IS n_bands because each doc emits exactly one key per band."""
-    import ray
-
     # read auto-splits to ~2×CPUs blocks; signature rows coalesced before
     # the Count groupby (see minhash_candidates — measured 64→16 win)
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
     banded = (ds.map_batches(_mhx_band_rows, batch_format="pyarrow",
                              batch_size=512)
               .repartition(16).materialize())
-    counts = banded.groupby("bk64").aggregate(Count(alias_name="n"))
-    hot = counts.filter(expr="n >= 2").to_pandas()
-    if hot.empty:
-        return pd.DataFrame({"doc_a": pd.Series([], dtype="int64"),
-                             "doc_b": pd.Series([], dtype="int64"),
-                             "n_bands": pd.Series([], dtype="int64")})
-    hot_arr = pa.array(hot["bk64"].to_numpy(), pa.int64())
-    keys_ref = ray.put(hot_arr)
-
-    def keep_colliding(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        return b.filter(pc.is_in(b["bk64"], value_set=ray.get(keys_ref)))
-
-    survivors = banded.map_batches(keep_colliding, batch_format="pyarrow")
-    n_surv = int(hot["n"].sum())
-    if n_surv <= DRIVER_PAIR_LIMIT:
-        # size-dispatched driver pair formation (see minhash_candidates):
-        # each pair appears once per agreeing band, so the per-pair
-        # multiplicity after the uncapped all-pairs IS n_bands
-        ks, ds_ = [], []
-        for blk in survivors.iter_batches(batch_format="pyarrow"):
-            ks.append(np.asarray(blk["bk64"], np.int64))
-            ds_.append(np.asarray(blk["doc_id"], np.int64))
-        a, b = _driver_bucket_pairs(np.concatenate(ks), np.concatenate(ds_),
-                                    cap=None)
-        uq, nb = np.unique(_pair_struct(a, b), return_counts=True)
-        return (pd.DataFrame({"doc_a": uq["a"], "doc_b": uq["b"],
-                              "n_bands": nb.astype(np.int64)})
-                .sort_values(["doc_a", "doc_b"]).reset_index(drop=True))
-    nparts = max(2, min(8, len(hot) // 1024 + 2))
-    out = (survivors
-           .groupby("bk64", num_partitions=nparts)
-           .map_groups(_bucket_pairs_all, batch_format="pandas")
-           .groupby(["doc_a", "doc_b"], num_partitions=nparts)
-           .aggregate(Count(alias_name="n_bands"))
-           .to_pandas())
-    return (out[["doc_a", "doc_b", "n_bands"]]
-            .sort_values(["doc_a", "doc_b"]).reset_index(drop=True))
+    out = _lsh_pairs(banded, "bk64", None, "n_bands").to_pandas()
+    return out.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
 
 
 def _mhx_perm_values_sql() -> str:

@@ -27,24 +27,18 @@ from ray.data.aggregate import Count, Mean, Sum
 
 from .. import synth
 from ..functions import pointwise
-from ..sources import read_documents, read_tiles
-from ..stages import cellindex, spans
+from ..sources import read_documents, read_tiles, table_rows
+from ..stages import cellindex, join, spans
 
 
-# distinct-media_ref count below which the final merge of per-block count
-# partials runs on the driver (partial rows ≤ blocks × distinct refs of
-# ~20 B each) instead of paying a groupby exchange whose ~1.2 s fixed
-# machinery dwarfs the data (measured: map-only 0.33 s vs 1.6 s with the
-# Sum groupby on 23k partial rows at sf0.1)
-REF_MERGE_DRIVER_LIMIT = 5_000_000
-
-
-def media_ref_counts(docs: rd.Dataset, doc_rgs: int | None = None,
-                     doc_rows: int | None = None,
-                     n_refs_hint: int | None = None):
-    """Per-tile media reference counts, pre-aggregated inside map_batches.
-    Returns a pandas DataFrame (driver merge) when the ref domain is known
-    small, else a Dataset behind the groupby shuffle.
+def media_ref_counts(docs: rd.Dataset, n_refs: int, doc_rgs: int | None = None,
+                     doc_rows: int | None = None) -> pd.DataFrame:
+    """Per-tile media reference counts (media_ref, ref_count), counted
+    per batch inside map_batches and merged by ``join.merge_by_key``: on
+    the driver while the partials fit the driver budget, else through a
+    groupby.  ``n_refs`` bounds the distinct media_ref count (the tile
+    count, from a parquet footer); the partials are sized as that many
+    16-byte rows.
 
     Repartition ONLY when the storage layout actually starves parallelism
     (one fat row group of many rows): the v4 synth writer emits many row
@@ -64,16 +58,12 @@ def media_ref_counts(docs: rd.Dataset, doc_rgs: int | None = None,
         g = b.group_by("media_ref").aggregate([([], "count_all")])
         return g.rename_columns(["media_ref", "n"])
 
+    def total(t: pa.Table) -> pa.Table:
+        g = t.group_by("media_ref").aggregate([("n", "sum")])
+        return g.rename_columns(["media_ref", "ref_count"])
+
     partials = media.map_batches(partial, batch_format="pyarrow", batch_size=65536)
-    if n_refs_hint is not None and n_refs_hint <= REF_MERGE_DRIVER_LIMIT:
-        frames = [blk.to_pandas()
-                  for blk in partials.iter_batches(batch_format="pyarrow")]
-        allp = pd.concat(frames, ignore_index=True) if frames else \
-            pd.DataFrame({"media_ref": [], "n": []})
-        out = (allp.groupby("media_ref", sort=False)["n"].sum()
-               .rename("ref_count").reset_index())
-        return out
-    return partials.groupby("media_ref").aggregate(Sum("n", alias_name="ref_count"))
+    return join.merge_by_key(partials, "media_ref", total, n_refs * 16)
 
 
 def run(sf_dir: str = "/root/testdata/sf0.001") -> rd.Dataset:
@@ -85,18 +75,13 @@ def run(sf_dir: str = "/root/testdata/sf0.001") -> rd.Dataset:
     import pyarrow.parquet as pq
     doc_path = os.path.join(d, "documents.parquet")
     md = pq.read_metadata(doc_path) if os.path.exists(doc_path) else None
-    tiles_path = os.path.join(d, "tiles.parquet")
     # the media_ref domain IS the tile id set — its size is free from
     # parquet metadata and drives the merge dispatch
-    n_tiles = pq.read_metadata(tiles_path).num_rows \
-        if os.path.exists(tiles_path) else None
     counts = media_ref_counts(
         read_documents(d),
+        table_rows(d, "tiles"),
         doc_rgs=md.num_row_groups if md else None,
-        doc_rows=md.num_rows if md else None,
-        n_refs_hint=n_tiles)
-    if not isinstance(counts, pd.DataFrame):
-        counts = counts.to_pandas()
+        doc_rows=md.num_rows if md else None)
     # sorted (keys, values) arrays: the per-batch lookup below is a
     # vectorized searchsorted, not a per-row dict.get
     _order = np.argsort(counts["media_ref"].to_numpy())

@@ -476,9 +476,8 @@ def q_doc_media_join(sf_dir: str) -> pd.DataFrame:
     d = synth.synth_dir_for(sf_dir)
     media = sp.media_refs(sp.explode_spans(read_documents(d)))
     tiles = read_tiles(d, columns=["tile_id", "scene_id"])
-    from .sources import join_partitions
-    joined = media.join(tiles, join_type="inner", num_partitions=join_partitions(),
-                        on=("media_ref",), right_on=("tile_id",))
+    from .stages.join import hash_join
+    joined = hash_join(media, tiles, "media_ref", "inner", right_on="tile_id")
     out = (joined.groupby("scene_id").aggregate(Count(alias_name="n_refs"))
            .to_pandas())
     out["scene_id"] = out["scene_id"].astype("int64")

@@ -10,8 +10,8 @@ stages over a tiled grid:
   min-propagation in numpy), emits one row per LOCAL region plus boundary
   handshake rows keyed on the shared tile edge; a groupby on the edge key
   pairs the two sides into a region-graph edge list (edge-sized, tiny vs the
-  raster), and the existing distributed min-label propagation
-  (trainprep.connected_components) resolves global components.  No pixel
+  raster: the fixed 512² field has at most 7,168 cross-tile adjacencies), and
+  a driver union-find resolves global components.  No pixel
   ever crosses the wire twice: the shuffle carries only per-region partials
   and boundary handshakes — at 100 TB the exchange is O(regions + tile
   perimeter), not O(pixels).
@@ -192,10 +192,10 @@ def _tile_partials(b: pa.Table) -> pa.Table:
 
 def union_find_labels(u: np.ndarray, v: np.ndarray) -> pd.DataFrame:
     """Driver-side union-find over a RESULT-SIZED edge array → node/label
-    frame (label = min node id per component).  Used below the size
-    threshold where the distributed propagation's fixed per-exchange cost
-    (~1 s/round) dwarfs the actual work; trainprep.connected_components is
-    the unbounded-scale path."""
+    frame (label = min node id per component).  Used while the edges fit
+    the driver budget, where the distributed propagation's fixed
+    per-exchange cost (~1 s/round) dwarfs the actual work;
+    trainprep.connected_components is the unbounded-scale path."""
     nodes, inv = np.unique(np.concatenate([u, v]), return_inverse=True)
     parent = np.arange(len(nodes))
 
@@ -220,18 +220,12 @@ def union_find_labels(u: np.ndarray, v: np.ndarray) -> pd.DataFrame:
     return pd.DataFrame({"node": nodes, "label": nodes[roots]})
 
 
-# edge counts below this resolve on the driver; above, distribute
-CC_DRIVER_MAX_EDGES = 2_000_000
-
-
 def _labeled_regions() -> tuple[pd.DataFrame, pd.DataFrame]:
     """Shared machinery: tile partials → (region partials with their global
     component label as ``region_id``, cross-tile handshake pairs).
 
     Both returned frames are result-sized (O(regions), O(boundary
     adjacencies)) — never O(pixels)."""
-    from .trainprep import connected_components
-
     parts = rd.range(GRID_TILES * GRID_TILES, override_num_blocks=8).map_batches(
         _tile_partials, batch_format="pyarrow", batch_size=16).materialize()
 
@@ -250,12 +244,11 @@ def _labeled_regions() -> tuple[pd.DataFrame, pd.DataFrame]:
     if edge_df.empty:
         lab = reg[["key"]].copy(); lab["label"] = lab["key"]
     else:
-        if len(edge_df) <= CC_DRIVER_MAX_EDGES:
-            cc = union_find_labels(edge_df["u"].to_numpy(np.int64),
-                                   edge_df["v"].to_numpy(np.int64))
-        else:
-            cc = connected_components(rd.from_pandas(edge_df),
-                                      num_partitions=4)
+        # the field is the fixed GRID_TILES² grid of TILE_PX² tiles, so
+        # cross-tile edges number at most 2·(GRID_TILES−1)·GRID_TILES·TILE_PX
+        # (7,168): the region graph always resolves on the driver
+        cc = union_find_labels(edge_df["u"].to_numpy(np.int64),
+                               edge_df["v"].to_numpy(np.int64))
         lab = reg[["key"]].merge(cc.rename(columns={"node": "key"}),
                                  on="key", how="left")
         lab["label"] = lab["label"].fillna(lab["key"]).astype(np.int64)

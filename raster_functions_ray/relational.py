@@ -8,8 +8,8 @@ its DuckDB oracle at sf0.01).  Patterns exercised:
 - pre-aggregation inside map_batches before the groupby shuffle
   (partial combine → small all-to-all), per SURVEY.md §4;
 - every keyed equi-join through ``stages.join.key_join``: a broadcast
-  ``searchsorted`` attach while the dimension side's footer row count fits
-  ``BROADCAST_MAX_ROWS``, a ``Dataset.join`` shuffle above it;
+  ``searchsorted`` attach while the dimension side (footer rows × 32 B)
+  fits ``DRIVER_MAX_BYTES``, a ``hash_join`` shuffle above it;
 - sort/limit top-k with deterministic tie-breaks.
 
 Float discipline: aggregate outputs are rounded (2 decimals for money,

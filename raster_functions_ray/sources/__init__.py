@@ -147,15 +147,17 @@ def join_partitions(factor: int = 2, cap: int = 64) -> int:
 
 def text_format_cache(sf_dir: str, fmt: str) -> str:
     """Deterministic CSV / JSONL mirror of the documents table (cached
-    under /tmp keyed by source file identity) — the fixture for the
+    under ``synth.CACHE_ROOT`` keyed by source file identity) — the fixture for the
     non-parquet source-path gates: ray.data.read_csv / read_json must
     deliver the SAME rows the parquet reader does, including text columns
     that need quoting/escaping to survive the format."""
     import pyarrow.parquet as pq
 
+    from .. import synth
+
     src = os.path.join(sf_dir, "documents.parquet")
     st = os.stat(src)
-    d = os.path.join("/tmp/rfr_srcfmt",
+    d = os.path.join(synth.CACHE_ROOT, "srcfmt",
                      f"{fmt}_{os.path.basename(os.path.normpath(sf_dir))}"
                      f"_{st.st_size}_{st.st_mtime_ns}")
     ext = {"csv": "csv", "feather": "feather_dir"}.get(fmt, "jsonl")

@@ -25,7 +25,9 @@ import ray.data as rd
 from ray.data.aggregate import Sum
 
 from . import grid
-from .sources import join_partitions, read_table
+from .sources import read_table, table_rows
+from .stages import join
+from .stages.join import hash_join, merge_by_key
 
 CELL_LEVEL = 6
 
@@ -1223,7 +1225,6 @@ ORDER BY a_id, b_id
 # ------------------------------------------- bounded kNN self-join
 
 KNN_JOIN_K = 4                 # neighbors per point
-KNN_JOIN_MERGE_LIMIT = 20_000_000  # candidate rows mergeable on the driver
 
 
 def q_knn_join(sf_dir: str) -> pd.DataFrame:
@@ -1240,10 +1241,10 @@ def q_knn_join(sf_dir: str) -> pd.DataFrame:
     box lies within {RADIUS} (the same provably-lossless emission filter
     as q_radius_join); per cell, probes score members in row-blocked
     stripes and keep a per-(probe, cell) partial top-k; a final per-point
-    lex merge (driver-vectorized below {KNN_JOIN_MERGE_LIMIT} candidate
-    rows — ≤ 9·k narrow rows per point — hash-groupby beyond) yields the
-    global top-k.  Pair arithmetic is identical in every path, so ranks
-    are deterministic (d², id)."""
+    lex merge (``stages.join.merge_by_key``: driver-vectorized while the
+    candidates — ≤ 9·k narrow rows per point — fit the driver budget,
+    hash-groupby beyond) yields the global top-k.  Pair arithmetic is
+    identical in every path, so ranks are deterministic (d², id)."""
     ds = read_table(sf_dir, "events", columns=["event_id"])
     pts = ds.map_batches(derive_points, batch_format="pyarrow",
                          zero_copy_batch=True)
@@ -1313,37 +1314,23 @@ def q_knn_join(sf_dir: str) -> pd.DataFrame:
             .groupby("key").map_groups(cell_topk, batch_format="pandas")
             .materialize())
 
-    def lex_topk(aid, bid, d2):
+    def lex_topk(t: pa.Table) -> pa.Table:
+        aid = np.asarray(t["a_id"], np.int64)
+        bid = np.asarray(t["b_id"], np.int64)
+        d2 = np.asarray(t["d2"], np.float64)
         order = np.lexsort((bid, d2, aid))
         aid, bid, d2 = aid[order], bid[order], d2[order]
-        first = np.r_[True, aid[1:] != aid[:-1]]
+        first = np.ones(aid.size, bool)
+        first[1:] = aid[1:] != aid[:-1]
         grp = np.cumsum(first) - 1
         pos = np.arange(aid.size) - np.searchsorted(grp, grp, side="left")
         keep = pos < KNN_JOIN_K
-        return pd.DataFrame({"a_id": aid[keep], "b_id": bid[keep],
-                             "rank": (pos[keep] + 1).astype(np.int64),
-                             "d2": d2[keep]})
+        return pa.table({"a_id": aid[keep], "b_id": bid[keep],
+                         "rank": (pos[keep] + 1).astype(np.int64),
+                         "d2": d2[keep]})
 
-    if cand.count() <= KNN_JOIN_MERGE_LIMIT:
-        cols = {"a_id": [], "b_id": [], "d2": []}
-        for blk in cand.iter_batches(batch_format="pyarrow"):
-            for c in cols:
-                cols[c].append(np.asarray(blk[c]))
-        if not cols["a_id"]:
-            return pd.DataFrame({"a_id": pd.Series([], dtype="int64"),
-                                 "b_id": pd.Series([], dtype="int64"),
-                                 "rank": pd.Series([], dtype="int64"),
-                                 "d2": pd.Series([], dtype="float64")})
-        out = lex_topk(np.concatenate(cols["a_id"]),
-                       np.concatenate(cols["b_id"]),
-                       np.concatenate(cols["d2"]))
-    else:
-        # scale path: ≤ 9·k candidate rows per point → tiny hash groups
-        out = (cand.groupby("a_id", num_partitions=8)
-               .map_groups(lambda g: lex_topk(
-                   g["a_id"].to_numpy(np.int64), g["b_id"].to_numpy(np.int64),
-                   g["d2"].to_numpy()), batch_format="pandas")
-               .to_pandas())
+    # ≤ 9·k candidate rows per point → tiny groups on the scale arm
+    out = merge_by_key(cand, "a_id", lex_topk, cand.size_bytes())
     return out.sort_values(["a_id", "rank"]).reset_index(drop=True)
 
 
@@ -1474,23 +1461,20 @@ def q_segment_join(sf_dir: str) -> pd.DataFrame:
                          "d2_num": pa.array(num[hit]),
                          "d2_den": pa.array(den[hit])})
 
-    # size dispatch: when the POINT side is below a metadata-known limit,
+    # size dispatch: while the POINT side (the footer's row count × four
+    # int64 columns of the broadcast index) fits the driver budget,
     # broadcast its sorted cell index once via ray.put and probe from the
     # segment side — ZERO exchanges;
     # above, pair formation is the cell-keyed HASH JOIN + vectorized
     # filter (a map_groups over the mostly point-free cell grid paid one
     # Python call per cell — 40k cells, 10k points → 6.5 s; the join
     # only materializes candidate rows where both sides share a cell)
-    from .stages import join
-
-    if pts.count() <= join.BROADCAST_MAX_ROWS:
+    if table_rows(sf_dir, "events") * 32 <= join.DRIVER_MAX_BYTES:
         out = _segment_join_broadcast(pts, segs).to_pandas()
     else:  # pragma: no cover — exercised by the forced-dispatch pytest
-        pcells = pts.map_batches(pt_cells, batch_format="pyarrow")
-        scells = segs.map_batches(seg_cells, batch_format="pyarrow")
-        nparts = max(2, min(join_partitions(), 8))
-        cand = pcells.join(scells, join_type="inner",
-                           num_partitions=nparts, on=("key",))
+        cand = hash_join(pts.map_batches(pt_cells, batch_format="pyarrow"),
+                         segs.map_batches(seg_cells, batch_format="pyarrow"),
+                         "key", "inner")
         out = cand.map_batches(score, batch_format="pyarrow").to_pandas()
     return out.sort_values(["event_id", "seg_id"]).reset_index(drop=True)
 
@@ -2149,9 +2133,10 @@ def dbscan_dataset(sf_dir: str) -> rd.Dataset:
     the core id set and cluster-label table broadcast once via ray.put
     (both ≤ output-sized — the repo's broadcast discipline); components
     resolve through the size dispatch shared with the region/dup-cluster
-    family: driver union-find ≤ {{regions.CC_DRIVER_MAX_EDGES}} core-core
-    edges, ``trainprep.connected_components`` min-label propagation
-    above.  Border labels form as one more edge-sized groupby-Min.
+    family: driver union-find while the core-core edges fit the driver
+    budget (``stages.join.DRIVER_MAX_BYTES``),
+    ``trainprep.connected_components`` min-label propagation above.
+    Border labels form as one more edge-sized groupby-Min.
     Skewed cells are bounded by density (eps-sized pitch ⇒ O(mean
     degree) points per cell in expectation); a pile-up would use the
     density-adapted split levels of q_rect_overlap_join_split."""
@@ -2214,9 +2199,7 @@ def dbscan_dataset(sf_dir: str) -> rd.Dataset:
                          zero_copy_batch=True)
     ring = ds.map_batches(ring_cells, batch_format="pyarrow",
                           zero_copy_batch=True)
-    nparts = max(2, min(join_partitions(), 8))
-    pairs = (own.join(ring, join_type="inner", num_partitions=nparts,
-                      on=("key",))
+    pairs = (hash_join(own, ring, "key", "inner")
              .map_batches(form, batch_format="pyarrow")
              .materialize())
 
@@ -2227,8 +2210,8 @@ def _dbscan_label(ds: rd.Dataset, pairs: rd.Dataset, minpts: int) -> rd.Dataset:
     """The labelling tail shared by DBSCAN and ST-DBSCAN, from the
     materialized (a < b) neighbor ``pairs``: degrees from unique-count
     partials through one groupby-Sum, cores (≥ ``minpts`` with self),
-    core-core components through the CC_DRIVER_MAX_EDGES size dispatch
-    (driver union-find / distributed min-label), isolated cores labelling
+    core-core components sized against the driver budget (driver
+    union-find / distributed min-label), isolated cores labelling
     themselves, border labels through one edge-sized groupby-Min, then the
     per-event role/cluster attach over ``ds`` inside map_batches."""
     from ray.data.aggregate import Min
@@ -2257,7 +2240,7 @@ def _dbscan_label(ds: rd.Dataset, pairs: rd.Dataset, minpts: int) -> rd.Dataset:
         return pa.table({"u": pa.array(a[keep]), "v": pa.array(bb[keep])})
 
     ce = pairs.map_batches(core_edges, batch_format="pyarrow").materialize()
-    if ce.count() <= regions.CC_DRIVER_MAX_EDGES:
+    if ce.size_bytes() <= join.DRIVER_MAX_BYTES:
         edf = ce.to_pandas()
         labels = regions.union_find_labels(edf["u"].to_numpy(np.int64),
                                            edf["v"].to_numpy(np.int64))
@@ -2720,9 +2703,7 @@ def q_segment_intersect(sf_dir: str) -> pd.DataFrame:
                             batch_format="pyarrow", zero_copy_batch=True)
     right = segs.map_batches(lambda t: seg_cells(t, "b"),
                              batch_format="pyarrow", zero_copy_batch=True)
-    nparts = max(2, min(join_partitions(), 8))
-    out = (left.join(right, join_type="inner", num_partitions=nparts,
-                     on=("key",))
+    out = (hash_join(left, right, "key", "inner")
            .map_batches(cross_pairs, batch_format="pyarrow")
            .to_pandas())
     return out.sort_values(["a_id", "b_id"]).reset_index(drop=True)

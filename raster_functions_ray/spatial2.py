@@ -1771,8 +1771,8 @@ def st_dbscan_dataset(sf_dir: str):
     union-find / distributed min-label); border labels via one
     edge-sized groupby-Min (spatial._dbscan_label, the tail shared with
     q_dbscan).  Broadcast sets are output-sized."""
-    from .sources import join_partitions
     from .spatial import _dbscan_label
+    from .stages.join import hash_join
 
     ds = read_table(sf_dir, "events", columns=["event_id", "ts"])
     n = ds.count()
@@ -1834,9 +1834,7 @@ def st_dbscan_dataset(sf_dir: str):
                          zero_copy_batch=True)
     ring = ds.map_batches(ring_cells, batch_format="pyarrow",
                           zero_copy_batch=True)
-    nparts = max(2, min(join_partitions(), 8))
-    pairs = (own.join(ring, join_type="inner", num_partitions=nparts,
-                      on=("key",))
+    pairs = (hash_join(own, ring, "key", "inner")
              .map_batches(form, batch_format="pyarrow")
              .materialize())
 

@@ -1,36 +1,52 @@
-"""One keyed equi-join: broadcast or shuffle, picked from a size known
-before anything executes.
+"""One driver budget, and the joins and merges that read it.
+
+``DRIVER_MAX_BYTES`` is the only size that picks a lowering anywhere in
+the library.  Every collect-or-shuffle choice compares with it a byte size
+known before anything is pulled: ``Dataset.size_bytes()`` of a
+materialized Dataset (block metadata only), or a count known from a
+parquet footer or the driver times the row's fixed width.  At or below
+the budget the data is gathered on the driver (or broadcast with
+``ray.put``); above it, rows meet in an exchange.
 
 ``key_join(fact, dim, on, how, dim_rows)`` joins a fact Dataset to a
-dimension side on one integer key column of the same name on both sides.
-``dim_rows`` is the dim side's row count (or an upper bound on it) taken
-from metadata — a parquet footer (``sources.table_rows``) or a size the
-driver already holds — so no rows move before the arm is chosen:
+dimension side on one integer key column of the same name on both sides;
+the dim side is sized as ``dim_rows`` × 32 B:
 
-- **broadcast** (``dim_rows <= BROADCAST_MAX_ROWS``): the dim side is
-  collected once, sorted by key and ``ray.put`` as (sorted int64 keys,
-  columns); each fact batch does one left and one right ``searchsorted``,
-  one ``np.repeat`` and one Arrow ``take``, so repeated dim keys fan out
-  exactly as in a hash join.  No exchange.
-- **shuffle**: ``Dataset.join`` over ``join_partitions()`` partitions.
+- **broadcast** (within the budget): the dim side is collected once,
+  sorted by key and ``ray.put`` as (sorted int64 keys, columns); each fact
+  batch does one left and one right ``searchsorted``, one ``np.repeat``
+  and one Arrow ``take``, so repeated dim keys fan out exactly as in a
+  hash join.  No exchange.
+- **shuffle**: ``hash_join`` on the int64-cast key.
 
 ``how`` is ``inner``, ``left_outer``, ``semi`` or ``anti``.  Both arms cast
 the key to int64 on both sides and return the fact's columns followed by
 the dim's non-key columns (``inner``, ``left_outer``; misses are null) or
 the fact's columns alone (``semi``, ``anti``): the same names, order and
 dtypes either way.  Keys must be non-null.  Row order is not defined.
+
+``hash_join(left, right, on, how, right_on=None)`` is the library's one
+``Dataset.join``, over ``join_partitions()`` partitions, guarded against
+Ray 2.49's empty-first-block fault (see its docstring).
+
+``merge_by_key(ds, key, fn, nbytes)`` applies ``fn`` to whole key groups of
+``ds`` and returns the result as a pandas frame: once over every row on
+the driver within the budget, per group after a ``groupby(key)`` above it.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import ray
 import ray.data as rd
 
-# dim-side rows at/below which the join broadcasts (narrow rows: 32 B/row
-# → 64 MB at 2M, the repo's ray.put budget)
-BROADCAST_MAX_ROWS = 2_000_000
+# bytes at/below which a side is gathered on the driver or broadcast with
+# ray.put (64 MB: a narrow 2M-row dim side at 32 B/row)
+DRIVER_MAX_BYTES = 64_000_000
 
 _SHUFFLE_TYPE = {"inner": "inner", "left_outer": "left_outer",
                  "semi": "left_semi", "anti": "left_anti"}
@@ -71,26 +87,12 @@ def key_join(fact: rd.Dataset, dim: rd.Dataset | pa.Table, on: str,
     def int64_key(b: pa.Table) -> pa.Table:
         return b.set_column(b.schema.get_field_index(on), on, b[on].cast(pa.int64()))
 
-    if dim_rows > BROADCAST_MAX_ROWS:
-        from ..sources import join_partitions
-
-        def side(ds: rd.Dataset | pa.Table) -> rd.Dataset:
-            # Ray 2.49's hash join gives its partitions a side's schema only
-            # from the first block it receives, and fails when that block is
-            # empty: drop empty blocks and add one null-key row, which
-            # matches nothing and is dropped below
-            ds = (rd.from_arrow(ds) if isinstance(ds, pa.Table) else ds).materialize()
-            s = ds.schema().base_schema
-            null_row = pa.table([pa.nulls(1, t) for t in s.types], schema=s)
-            rows = [m.num_rows for b in ds.iter_internal_ref_bundles() for m in b.metadata]
-            refs = [r for r, n in zip(ds.to_arrow_refs(), rows) if n]
-            return rd.from_arrow_refs([ray.put(null_row), *refs]).map_batches(
-                int64_key, batch_format="pyarrow")
-
-        return side(fact).join(
-            side(dim), join_type=_SHUFFLE_TYPE[how],
-            num_partitions=join_partitions(), on=(on,)).map_batches(
-                lambda b: b.filter(b[on].is_valid()), batch_format="pyarrow")
+    if dim_rows * 32 > DRIVER_MAX_BYTES:
+        # cast after the guard: a map over an empty side loses its schema
+        fact, dim = (_guarded(rd.from_arrow(ds) if isinstance(ds, pa.Table) else ds)
+                     .map_batches(int64_key, batch_format="pyarrow")
+                     for ds in (fact, dim))
+        return hash_join(fact, dim, on, _SHUFFLE_TYPE[how])
 
     tbl = int64_key(_collect(dim)).sort_by(on)
     ref = ray.put((np.asarray(tbl[on], dtype=np.int64),
@@ -117,3 +119,62 @@ def key_join(fact: rd.Dataset, dim: rd.Dataset | pa.Table, on: str,
         return out
 
     return fact.map_batches(probe, batch_format="pyarrow")
+
+
+@ray.remote
+def _null_row(t: pa.Table) -> pa.Table:
+    return pa.table([pa.nulls(1, c.type) for c in t.columns], names=t.column_names)
+
+
+def _guarded(ds: rd.Dataset) -> rd.Dataset:
+    """``ds`` materialized, without its empty blocks and led by one all-null
+    row (see ``hash_join``)."""
+    ds = ds.materialize()
+    rows = [m.num_rows for b in ds.iter_internal_ref_bundles() for m in b.metadata]
+    full = [r for r, n in zip(ds.to_arrow_refs(), rows) if n]
+    if full:
+        head = _null_row.remote(full[0])
+    else:
+        s = ds.schema().base_schema
+        head = ray.put(pa.table([pa.nulls(1, t) for t in s.types], schema=s))
+    return rd.from_arrow_refs([head, *full])
+
+
+def hash_join(left: rd.Dataset, right: rd.Dataset, on: str | tuple[str, ...],
+              how: str, right_on: str | None = None) -> rd.Dataset:
+    """``Dataset.join(join_type=how)`` of ``left`` on the key column(s)
+    ``on`` with ``right`` on ``right_on`` (default ``on``), over
+    ``join_partitions()`` partitions.
+
+    Ray 2.49's hash join gives its partitions a side's schema only from the
+    first block it receives, and fails ("No match ... for key field
+    reference") in any partition that then gets no rows of that side when
+    that block is empty.  So each side is materialized, its empty blocks
+    are dropped and it is led by one all-null row, which matches nothing;
+    rows whose (first) ``on`` key is null are dropped from the result, so
+    keys must be non-null for ``left_outer`` and ``left_anti``.  An empty
+    side must keep its Arrow schema (a map over an empty block drops it)."""
+    from ..sources import join_partitions
+
+    on = (on,) if isinstance(on, str) else tuple(on)
+    return _guarded(left).join(
+        _guarded(right), join_type=how, num_partitions=join_partitions(), on=on,
+        right_on=(right_on,) if right_on else on).map_batches(
+            lambda b: b.filter(b[on[0]].is_valid()), batch_format="pyarrow")
+
+
+def merge_by_key(ds: rd.Dataset, key: str,
+                 fn: Callable[[pa.Table], pa.Table], nbytes: int) -> pd.DataFrame:
+    """``fn`` over whole ``key`` groups of ``ds``, as one pandas frame.
+    ``fn`` maps an Arrow table holding whole groups to a table, so it may
+    see one group or all of them.  Within the budget (``nbytes`` is the
+    size of ``ds``, known before anything is pulled) the blocks are
+    concatenated once and ``fn`` runs once on the driver; above it,
+    ``groupby(key).map_groups(fn)`` over ``join_partitions()``
+    partitions."""
+    if nbytes <= DRIVER_MAX_BYTES:
+        return fn(_collect(ds)).to_pandas()
+    from ..sources import join_partitions
+
+    return (ds.groupby(key, num_partitions=join_partitions())
+            .map_groups(fn, batch_format="pyarrow").to_pandas())

@@ -17,6 +17,7 @@ import ray.data as rd
 from ray.data.aggregate import Sum
 
 from .sources import read_table
+from .stages import join
 
 
 def tokenize(text: pd.Series) -> pd.Series:
@@ -255,9 +256,7 @@ def _training_tail(scored) -> pd.DataFrame:
     from ray.data.aggregate import Min, Sum
 
     survivors = scored.groupby("h").aggregate(Min("doc_id", alias_name="keep_doc_id"))
-    from .sources import join_partitions
-    marked = scored.join(survivors, join_type="inner",
-                         num_partitions=join_partitions(), on=("h",))
+    marked = join.hash_join(scored, survivors, "h", "inner")
 
     def partial(b: pa.Table) -> pd.DataFrame:
         df = b.to_pandas()
@@ -379,18 +378,14 @@ def q_dedup_mark(sf_dir: str) -> pd.DataFrame:
     no driver-side set)."""
     from ray.data.aggregate import Min
 
-    from .dedup import _text_hash
+    from .dedup import content_hash_rows as add_hash
 
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
-
-    from .dedup import content_hash_rows as add_hash
 
     hashed = (ds.map_batches(add_hash, batch_format="pyarrow", batch_size=8192)
               .repartition(8).materialize())
     survivors = hashed.groupby("h").aggregate(Min("doc_id", alias_name="keep_doc_id"))
-    from .sources import join_partitions
-    marked = hashed.join(survivors, join_type="inner",
-                         num_partitions=join_partitions(), on=("h",))
+    marked = join.hash_join(hashed, survivors, "h", "inner")
 
     def finish(b: pa.Table) -> pd.DataFrame:
         df = b.to_pandas()
@@ -610,11 +605,11 @@ def q_boilerplate(sf_dir: str) -> pd.DataFrame:
     emitted per block (a doc's text lives in one row, so in-block dedup is
     globally exact), document frequencies come from one groupby-Count over
     the GRAM space, and membership flows back via a hash join on the same
-    key — no driver state, no full-corpus broadcast."""
+    key — no driver state, no full-corpus broadcast.  A boiler set within
+    the driver budget is broadcast instead (one ray.put, a map-side
+    ``pc.is_in``), saving the join's exchange."""
     import pyarrow.compute as pc
     from ray.data.aggregate import Count
-
-    from .sources import join_partitions
 
     docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
 
@@ -644,9 +639,9 @@ def q_boilerplate(sf_dir: str) -> pd.DataFrame:
     # the streaming executor interleave the two shuffles pathologically
     # (118s vs 10s at sf0.1, measured)
     def typed(b: pa.Table) -> pa.Table:
-        # zero-row blocks out of filter/aggregate can be SCHEMA-LESS, which
-        # the hash join's Arrow kernel rejects ("no match for key field");
-        # rebuild every block with the declared schema
+        # zero-row blocks out of filter/aggregate can be SCHEMA-LESS;
+        # rebuild every block with the declared schema, so an empty boiler
+        # set still has its columns
         if "s" not in b.column_names:
             return pa.table({"s": pa.array([], pa.string()),
                              "n": pa.array([], pa.int64())})
@@ -656,12 +651,9 @@ def q_boilerplate(sf_dir: str) -> pd.DataFrame:
     boiler = (dfreq.filter(expr=f"n >= {BOILER_MIN_DOCS}")
               .map_batches(typed, batch_format="pyarrow").materialize())
 
-    nparts = join_partitions()
-    if boiler.count() < 64 * nparts:
-        # broadcast lowering for a small boiler set: one ray.put, map-side
-        # pc.is_in — also dodges Ray 2.49's empty-partition join crash (a
-        # hash partition with zero right-side rows builds a zero-column
-        # table that the Arrow join kernel rejects)
+    if boiler.size_bytes() <= join.DRIVER_MAX_BYTES:
+        # broadcast lowering for a boiler set within the driver budget:
+        # one ray.put, map-side pc.is_in
         import ray as _ray
         bref = _ray.put(pa.array(boiler.to_pandas()["s"], pa.string()))
 
@@ -670,8 +662,7 @@ def q_boilerplate(sf_dir: str) -> pd.DataFrame:
 
         hits = pair_ds.map_batches(mark, batch_format="pyarrow")
     else:
-        hits = pair_ds.join(boiler, join_type="inner",
-                            num_partitions=nparts, on=("s",))
+        hits = join.hash_join(pair_ds, boiler, "s", "inner")
     out = (hits.groupby("doc_id").aggregate(Count(alias_name="n_boiler"))
            .to_pandas())
     out["n_boiler"] = out["n_boiler"].astype(np.int64)
@@ -1172,10 +1163,6 @@ LOGREG_BUCKETS = 8            # hashed token-count features + 1 bias
 LOGREG_PS = 1024              # probability fixed point: p̂ = p/(4·PS)
 LOGREG_WS = 1 << 20           # micro-weight scale: real w = w/WS
 LOGREG_LR_NUM = 64            # update: w -= floor(g·LR_NUM / n)
-# docs at/below which the K-round loop runs on driver-collected features
-# (narrow int rows, the driver-merge discipline); forced-dispatch pytest
-# pins the distributed lowering to the same integers
-LOGREG_DRIVER_MAX_DOCS = 300_000
 
 
 def _logreg_featurize(df: pd.DataFrame) -> tuple[np.ndarray, np.ndarray]:
@@ -1226,10 +1213,11 @@ def q_logreg_train(sf_dir: str) -> pd.DataFrame:
     each round is a map_batches partial gradient (9 ints per batch) →
     driver sum → the 9-int weight vector broadcast back in the next
     round's closure.  ZERO shuffles at any scale; the driver holds
-    O(K·BUCKETS) state.  Size dispatch at {LOGREG_DRIVER_MAX_DOCS} docs:
-    below, the feature matrix collects once and the K rounds run local
-    (saving K streaming passes); above, rounds stream — both lowerings
-    produce identical integers (forced-dispatch pytest)."""
+    O(K·BUCKETS) state.  Size dispatch on the driver budget: while the
+    feature rows (10 int64 per doc) fit it, the feature matrix collects
+    once and the K rounds run local (saving K streaming passes); above,
+    rounds stream — both lowerings produce identical integers
+    (forced-dispatch pytest)."""
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
     D = LOGREG_BUCKETS + 1
     xcols = [f"x{j}" for j in range(D)]
@@ -1245,7 +1233,7 @@ def q_logreg_train(sf_dir: str) -> pd.DataFrame:
     n = feats.count()
     # the two dispatch arms differ ONLY in how the full-batch gradient
     # is produced; the update rule and output shape are shared below
-    if n <= LOGREG_DRIVER_MAX_DOCS:
+    if feats.size_bytes() <= join.DRIVER_MAX_BYTES:
         fdf = feats.to_pandas()
         X = fdf[xcols].to_numpy(np.int64)
         y = fdf["y"].to_numpy(np.int64)
@@ -1421,10 +1409,6 @@ FROM best
 # ------------------------------------------ BPE vocabulary TRAINING
 
 BPE_TRAIN_ROUNDS = 6
-# vocab row count at/below which the K-round merge loop runs driver-side
-# (the CC_DRIVER_MAX_EDGES size-dispatch discipline); the distributed
-# lowering is kept alive and result-pinned by the forced-dispatch pytest
-BPE_DRIVER_MAX_VOCAB = 200_000
 
 
 def _bpe_pair_counts(words: pd.Series, counts: np.ndarray) -> pd.Series:
@@ -1463,8 +1447,8 @@ def q_bpe_train(sf_dir: str) -> pd.DataFrame:
     (merge_round, pair, pair_count, vocab_len_after).
 
     Scale shape: ONE corpus-sized groupby builds the (word, freq)
-    vocabulary; every later round is vocabulary-sized.  Size dispatch at
-    {BPE_DRIVER_MAX_VOCAB} vocab rows: below, the K-round loop runs
+    vocabulary; every later round is vocabulary-sized.  Size dispatch on
+    the driver budget: while the vocab fits it, the K-round loop runs
     driver-side (a language-bounded vocab is MB-scale even at 100 TB);
     above, each round is distributed — map_batches pair-count partials →
     one pair-sized groupby-Sum (pairs are alphabet²-bounded, tiny) →
@@ -1486,7 +1470,7 @@ def q_bpe_train(sf_dir: str) -> pd.DataFrame:
                 .groupby("w").aggregate(ASum("n", alias_name="n"))
                 .materialize())
     rows = []
-    if vocab_ds.count() <= BPE_DRIVER_MAX_VOCAB:
+    if vocab_ds.size_bytes() <= join.DRIVER_MAX_BYTES:
         vocab = vocab_ds.to_pandas()
         words = vocab["w"].astype(str)
         counts = vocab["n"].to_numpy(np.int64)

@@ -29,13 +29,13 @@ import pyarrow as pa
 import ray.data as rd
 from ray.data.aggregate import Count, Min, Sum
 
-from .sources import join_partitions, read_table
+from .sources import read_table
+from .stages.join import hash_join
 from .textops import tokenize
 
 # ---------------------------------------------------- connected components
 
-def connected_components(edges: rd.Dataset, max_iters: int = 100,
-                         num_partitions: int | None = None) -> pd.DataFrame:
+def connected_components(edges: rd.Dataset, max_iters: int = 100) -> pd.DataFrame:
     """Min-label propagation over an undirected edge Dataset (cols u, v):
     every node ends with label = the smallest node id in its component.
 
@@ -55,19 +55,11 @@ def connected_components(edges: rd.Dataset, max_iters: int = 100,
               .groupby("src").aggregate(Min("src", alias_name="label"))
               .map_batches(lambda b: b.rename_columns(["node", "label"]),
                            batch_format="pyarrow")).materialize()
-    # clamp partitions so every hash partition sees rows on both join sides:
-    # Ray 2.49 builds a ZERO-COLUMN table for a partition that received no
-    # shards and the Arrow join kernel rejects it ("no match for key field").
-    # The clamp must count DISTINCT KEYS (nodes), not rows — a dense cluster
-    # has many rows but few keys, and only keys populate partitions
-    nparts = max(1, min(num_partitions or join_partitions(),
-                        labels.count() // 64))
     prev_sum = None
     for _ in range(max_iters):
         as_src = labels.map_batches(lambda b: b.rename_columns(["src", "label"]),
                                     batch_format="pyarrow")
-        msgs = (sym.join(as_src, join_type="inner",
-                         num_partitions=nparts, on=("src",))
+        msgs = (hash_join(sym, as_src, "src", "inner")
                 .map_batches(lambda b: pa.table({"node": b["dst"], "label": b["label"]}),
                              batch_format="pyarrow"))
         labels = (labels.union(msgs)
@@ -115,10 +107,7 @@ def q_dup_clusters(sf_dir: str) -> pd.DataFrame:
     edges = rd.from_arrow(pa.table({
         "u": pa.array(pairs["doc_a"].to_numpy(np.int64)),
         "v": pa.array(pairs["doc_b"].to_numpy(np.int64))}))
-    # join shuffle width sized to the (tiny, result-scale) edge set — each
-    # partition spins an aggregator actor, a fixed 16 is pure overhead here
-    labels = connected_components(
-        edges, num_partitions=max(2, min(join_partitions(), len(pairs) // 10000 + 2)))
+    labels = connected_components(edges)
     out = labels.rename(columns={"node": "doc_id", "label": "cluster_id"})
     bucket = _split_hash(out["cluster_id"].to_numpy(np.int64), 10)
     out["split"] = np.where(bucket < 8, "train", "holdout")
@@ -1257,7 +1246,6 @@ def q_pagerank(sf_dir: str) -> pd.DataFrame:
     """
     docs = read_table(sf_dir, "documents", columns=["doc_id"]).materialize()
     n = docs.count()
-    nparts = max(2, min(join_partitions(), n // 10000 + 2))
 
     edges = docs.map_batches(lambda b: _pr_edges(b, n),
                              batch_format="pyarrow").materialize()
@@ -1274,8 +1262,7 @@ def q_pagerank(sf_dir: str) -> pd.DataFrame:
     for _ in range(PR_ROUNDS):
         as_src = mass.map_batches(lambda b: b.rename_columns(["u", "m"]),
                                   batch_format="pyarrow")
-        msgs = (edges.join(as_src, join_type="inner",
-                           num_partitions=nparts, on=("u",))
+        msgs = (hash_join(edges, as_src, "u", "inner")
                 .map_batches(lambda b: pa.table({
                     "node": b["v"],
                     "c": pa.array((np.asarray(b["m"], np.int64) * 85) // 300)}),
@@ -1373,14 +1360,12 @@ def q_pmi_bigrams(sf_dir: str) -> pd.DataFrame:
     t_total = uni.sum("c_term")
     b_total = big.sum("c")
     cand = big.filter(expr=f"c >= {PMI_MIN_COUNT}")
-    nparts = max(2, min(join_partitions(), uni.count() // 50000 + 2))
-    jx = (cand.map_batches(lambda b: b.rename_columns(["term", "y", "c_xy"]),
-                           batch_format="pyarrow")
-          .join(uni, join_type="inner", num_partitions=nparts, on=("term",))
+    jx = (hash_join(cand.map_batches(lambda b: b.rename_columns(["term", "y", "c_xy"]),
+                                     batch_format="pyarrow"), uni, "term", "inner")
           .map_batches(lambda b: pa.table({
               "x": b["term"], "term": b["y"], "c_xy": b["c_xy"],
               "c_x": b["c_term"]}), batch_format="pyarrow"))
-    jy = (jx.join(uni, join_type="inner", num_partitions=nparts, on=("term",))
+    jy = (hash_join(jx, uni, "term", "inner")
           .map_batches(lambda b: pa.table({
               "x": b["x"], "y": b["term"], "c_xy": b["c_xy"],
               "c_x": b["c_x"], "c_y": b["c_term"]}), batch_format="pyarrow"))
@@ -1444,7 +1429,6 @@ def q_triangle_count(sf_dir: str) -> pd.DataFrame:
     """
     docs = read_table(sf_dir, "documents", columns=["doc_id"]).materialize()
     n = docs.count()
-    nparts = max(2, min(join_partitions(), n // 10000 + 2))
 
     def undirected(b: pa.Table) -> pa.Table:
         d = np.asarray(b["doc_id"], dtype=np.int64)
@@ -1466,8 +1450,7 @@ def q_triangle_count(sf_dir: str) -> pd.DataFrame:
     # wedges: e(a,b) ⋈ e(b,c) on the middle vertex, keeping a < b < c
     as_bc = edges.map_batches(lambda t: t.rename_columns(["b", "c"]),
                               batch_format="pyarrow")
-    wedges = (edges.join(as_bc, join_type="inner", num_partitions=nparts,
-                         on=("b",))
+    wedges = (hash_join(edges, as_bc, "b", "inner")
               .map_batches(lambda t: pa.table({
                   "a": t["a"], "c": t["c"], "b": t["b"]}),
                   batch_format="pyarrow"))
@@ -1476,8 +1459,7 @@ def q_triangle_count(sf_dir: str) -> pd.DataFrame:
                                                   "_e": pa.array(
                                                       np.ones(t.num_rows, np.int8))}),
                               batch_format="pyarrow")
-    closed = wedges.join(as_ac, join_type="inner", num_partitions=nparts,
-                         on=("a", "c"))
+    closed = hash_join(wedges, as_ac, ("a", "c"), "inner")
     out = (closed.groupby("a").aggregate(Count(alias_name="n_triangles"))
            .to_pandas().rename(columns={"a": "node"}))
     return (out.sort_values("node").reset_index(drop=True)

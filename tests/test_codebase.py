@@ -1,7 +1,8 @@
 """Code nothing calls gets deleted: every top-level def or class of the
 library must be named somewhere in the repo's Python besides its own
 definition (a registry entry, a call, a test or a script).  And there is one
-implementation of storage-aligned reads: ``stages/aligned.py``."""
+implementation of storage-aligned reads, ``stages/aligned.py``, and one
+caller of ``Dataset.join``, ``stages/join.py``."""
 
 import ast
 import collections
@@ -33,3 +34,14 @@ def test_only_aligned_opens_parquet_among_stages():
                and re.search(r"pyarrow\.parquet|\bpq\.|ParquetFile|read_row_groups?\(",
                              f.read_text())]
     assert not opening, f"open parquet outside stages/aligned.py: {opening}"
+
+
+def test_only_stages_join_calls_dataset_join():
+    """One guarded exchange join: every ``Dataset.join`` of the library goes
+    through ``stages.join.hash_join``."""
+    lib = ROOT / "raster_functions_ray"
+    calling = [str(f.relative_to(lib)) for f in sorted(lib.rglob("*.py"))
+               if f != lib / "stages" / "join.py"
+               and re.search(r"\.join\([^()]*(\([^()]*\)[^()]*)*join_type=",
+                             f.read_text(), re.S)]
+    assert not calling, f"Dataset.join outside stages/join.py: {calling}"

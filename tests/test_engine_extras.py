@@ -455,21 +455,23 @@ class TestExactNnClustered:
         # production query must dispatch to it above the corpus limit
         import pandas as pd
         from raster_functions_ray import ann, dedup
+        from raster_functions_ray.stages import join
 
         pin = dedup.q_embedding_nn_dedup(SF001)
         clustered = ann.exact_nn_clustered(SF001)
         pd.testing.assert_frame_equal(pin, clustered[pin.columns.tolist()],
                                       check_dtype=False)
-        monkeypatch.setattr(dedup, "NN_BROADCAST_LIMIT", 0)
+        monkeypatch.setattr(join, "DRIVER_MAX_BYTES", 0)
         via_dispatch = dedup.q_embedding_nn_dedup(SF001)
         pd.testing.assert_frame_equal(pin, via_dispatch, check_dtype=False)
 
     def test_distributed_merge_path_identical(self, monkeypatch):
-        # force the hash-groupby final merge (the >limit scale path)
+        # force the hash-groupby final merge (the >budget scale path)
         from raster_functions_ray import ann
+        from raster_functions_ray.stages import join
 
         a = ann.exact_nn_clustered(SF001)
-        monkeypatch.setattr(ann, "NN_MERGE_DRIVER_LIMIT", 0)
+        monkeypatch.setattr(join, "DRIVER_MAX_BYTES", 0)
         b = ann.exact_nn_clustered(SF001)
         import pandas as pd
         pd.testing.assert_frame_equal(a, b, check_dtype=False)
@@ -618,9 +620,10 @@ class TestKnnJoin:
 
     def test_merge_lowerings_identical(self, monkeypatch):
         from raster_functions_ray import spatial
+        from raster_functions_ray.stages import join
 
         base = spatial.q_knn_join(SF001)
-        monkeypatch.setattr(spatial, "KNN_JOIN_MERGE_LIMIT", 0)
+        monkeypatch.setattr(join, "DRIVER_MAX_BYTES", 0)
         pd.testing.assert_frame_equal(base, spatial.q_knn_join(SF001))
 
 
@@ -818,10 +821,11 @@ class TestDbscan:
                 == core.groupby("cluster")["cluster"].first()).all()
 
     def test_forced_distributed_components_match(self, monkeypatch):
-        from raster_functions_ray import regions, spatial
+        from raster_functions_ray import spatial
+        from raster_functions_ray.stages import join
 
         base = spatial.q_dbscan(SF001)
-        monkeypatch.setattr(regions, "CC_DRIVER_MAX_EDGES", 0)
+        monkeypatch.setattr(join, "DRIVER_MAX_BYTES", 0)
         forced = spatial.q_dbscan(SF001)
         pd.testing.assert_frame_equal(base, forced)
 
@@ -1110,6 +1114,6 @@ class TestSegmentJoinLowerings:
         from raster_functions_ray.stages import join
 
         base = spatial.q_segment_join(SF001)       # broadcast path
-        monkeypatch.setattr(join, "BROADCAST_MAX_ROWS", 0)
+        monkeypatch.setattr(join, "DRIVER_MAX_BYTES", 0)
         joined = spatial.q_segment_join(SF001)     # hash-join path
         pd.testing.assert_frame_equal(base, joined)

@@ -286,12 +286,10 @@ class TestHotDuplicateBucket:
         assert len(out) < 1100
 
     def test_bucket_pairs_all_pairs_under_cap(self):
-        import pandas as pd
-
         from raster_functions_ray import dedup
 
-        g = pd.DataFrame({"doc_id": [3, 1, 2, 2]})
-        out = dedup._bucket_pairs(g).to_pandas()
+        g = pa.table({"k": [7, 7, 7, 7], "doc_id": [3, 1, 2, 2]})
+        out = dedup._bucket_pairs(g, "k", dedup.PAIR_CAP).to_pandas()
         assert sorted(map(tuple, out.to_numpy())) == [(1, 2), (1, 3), (2, 3)]
 
     def test_verify_lowerings_interchangeable(self, monkeypatch):
@@ -303,7 +301,7 @@ class TestHotDuplicateBucket:
         sf = "/root/testdata/sf0.001"
         cand = dedup.minhash_candidates(sf)
         a = dedup._verify_pairs_distributed(cand, sf, kind="char3", threshold=0.7)
-        monkeypatch.setattr(join, "BROADCAST_MAX_ROWS", 0)
+        monkeypatch.setattr(join, "DRIVER_MAX_BYTES", 0)
         b = dedup._verify_pairs_distributed(cand, sf, kind="char3", threshold=0.7)
         assert a.equals(b)
 
@@ -315,12 +313,13 @@ class TestHotDuplicateBucket:
         import pandas as pd
 
         from raster_functions_ray import dedup
+        from raster_functions_ray.stages import join
 
         sf = "/root/testdata/sf0.001"
         drv = dedup.minhash_candidates(sf).to_pandas() \
             .sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
         drv_lsh = dedup.q_minhash_lsh_exact(sf)
-        monkeypatch.setattr(dedup, "DRIVER_PAIR_LIMIT", -1)
+        monkeypatch.setattr(join, "DRIVER_MAX_BYTES", 0)
         dist = dedup.minhash_candidates(sf).to_pandas() \
             .sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
         dist_lsh = dedup.q_minhash_lsh_exact(sf)
@@ -684,3 +683,16 @@ class TestTheilsenSlope:
             qmed = (med.numerator * spatial.TS_QD) // med.denominator
             row = out[out["cell_id"] == pick].iloc[0]
             assert int(row["ts_slope_q"]) == qmed
+
+
+def test_caches_live_under_the_cache_root(ray_session, monkeypatch, tmp_path):
+    """The source-format mirrors and the IVF index are written under
+    synth.CACHE_ROOT (set by RFR_SYNTH_CACHE), like the synthetic tables."""
+    from raster_functions_ray import ann, synth
+    from raster_functions_ray.sources import text_format_cache
+
+    monkeypatch.setattr(synth, "CACHE_ROOT", str(tmp_path))
+    sf = "/root/testdata/sf0.001"
+    for path in (text_format_cache(sf, "csv"), ann.ivf_build(sf)[1]):
+        assert Path(path).exists()
+        assert Path(path).resolve().is_relative_to(tmp_path.resolve())

@@ -72,7 +72,7 @@ class TestReviewRegressions:
         u = np.arange(1, 10, dtype=np.int64)
         edges = rd.from_arrow(pa.table({"u": pa.array(u), "v": pa.array(u - 1)}))
         with pytest.raises(RuntimeError, match="did not converge"):
-            tp.connected_components(edges, max_iters=2, num_partitions=2)
+            tp.connected_components(edges, max_iters=2)
 
     def test_tokenizer_matches_re2_on_odd_whitespace(self):
         # NBSP and \v are NOT RE2 \s: engine token counts must agree with
@@ -93,7 +93,7 @@ class TestConnectedComponents:
         edges = rd.from_arrow(pa.table({
             "u": pa.array([2, 3, 4, 10, 11, 10, 20], pa.int64()),
             "v": pa.array([1, 2, 3, 11, 12, 12, 21], pa.int64())}))
-        labels = tp.connected_components(edges, num_partitions=2)
+        labels = tp.connected_components(edges)
         got = dict(zip(labels["node"], labels["label"]))
         assert got == {1: 1, 2: 1, 3: 1, 4: 1,
                        10: 10, 11: 10, 12: 10, 20: 20, 21: 20}
@@ -287,12 +287,12 @@ class TestHllBoilerplate:
 class TestTinyGraphCC:
     def test_single_edge_graph(self):
         # regression: Ray 2.49 hash-join crashes when a partition receives
-        # zero rows on one side; connected_components must clamp partitions
+        # zero rows on one side; stages.join.hash_join guards every join
         import pyarrow as pa
         import ray.data as rd
         edges = rd.from_arrow(pa.table({"u": pa.array([5], pa.int64()),
                                         "v": pa.array([9], pa.int64())}))
-        out = tp.connected_components(edges, num_partitions=2)
+        out = tp.connected_components(edges)
         assert out.to_dict("records") == [
             {"node": 5, "label": 5}, {"node": 9, "label": 5}]
 

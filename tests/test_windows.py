@@ -381,9 +381,10 @@ class TestBpeTrain:
     def test_forced_distributed_matches_driver(self, ray_session,
                                                monkeypatch):
         from raster_functions_ray import textops as t
+        from raster_functions_ray.stages import join
 
         base = t.q_bpe_train(SF001)
-        monkeypatch.setattr(t, "BPE_DRIVER_MAX_VOCAB", 0)
+        monkeypatch.setattr(join, "DRIVER_MAX_BYTES", 0)
         forced = t.q_bpe_train(SF001)
         pd.testing.assert_frame_equal(base, forced)
 
@@ -458,9 +459,10 @@ class TestLogregTrain:
     def test_forced_distributed_matches_driver(self, ray_session,
                                                monkeypatch):
         from raster_functions_ray import textops as t
+        from raster_functions_ray.stages import join
 
         base = t.q_logreg_train(SF001)
-        monkeypatch.setattr(t, "LOGREG_DRIVER_MAX_DOCS", 0)
+        monkeypatch.setattr(join, "DRIVER_MAX_BYTES", 0)
         forced = t.q_logreg_train(SF001)
         pd.testing.assert_frame_equal(base, forced)
 
